@@ -69,10 +69,14 @@ if [ "$MODE" != "quick" ]; then
     step "cargo test -p camal --test checkpoint_compat --release (v2 fixture compat)"
     cargo test -q -p camal --test checkpoint_compat --release
 
-    # The fleet sharding-invariance tests only exercise real fan-out with a
-    # multi-thread worker pool (the 1-core fallback runs shards serially).
-    step "cargo test -p camal --test fleet_serving --release (RAYON_NUM_THREADS=4)"
-    RAYON_NUM_THREADS=4 cargo test -q -p camal --test fleet_serving --release
+    # Thread-count sweep: the shard-invariance, deterministic-fault and
+    # gateway byte-identity claims must hold on one core (shards run
+    # serially), on two truly parallel ones, and oversubscribed at four.
+    for T in 1 2 4; do
+        step "thread sweep RAYON_NUM_THREADS=$T: fleet_serving, chaos_core, gateway_concurrency, chaos"
+        RAYON_NUM_THREADS=$T cargo test -q -p camal --release --test fleet_serving --test chaos_core
+        RAYON_NUM_THREADS=$T cargo test -q -p nilm_serve --release --test gateway_concurrency --test chaos
+    done
 
     # Gateway bit-identity + HTTP abuse tests under the optimized build —
     # release is the production code path the byte-equality claim is about.

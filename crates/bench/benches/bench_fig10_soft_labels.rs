@@ -7,7 +7,7 @@ use nilm_models::{train_soft, TrainConfig};
 
 fn bench(c: &mut Criterion) {
     let case = bench_case();
-    let mut model = bench_model(&case);
+    let model = bench_model(&case);
     let mut g = c.benchmark_group("fig10_soft_labels");
     g.sample_size(10);
     g.measurement_time(std::time::Duration::from_secs(3));

@@ -5,7 +5,7 @@ use nilm_bench::{bench_case, bench_model};
 
 fn bench(c: &mut Criterion) {
     let case = bench_case();
-    let mut model = bench_model(&case);
+    let model = bench_model(&case);
     c.bench_function("fig6b_detect_and_localize", |b| {
         b.iter(|| {
             let r = model.evaluate(&case.test, 2000.0, 16);

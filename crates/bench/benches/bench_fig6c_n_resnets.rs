@@ -14,7 +14,7 @@ fn bench(c: &mut Criterion) {
         let mut cfg = bench_camal_cfg();
         cfg.kernels = vec![5, 9];
         cfg.n_ensemble = n;
-        let mut model = CamalModel::train(&cfg, &case.train, &case.val, 2);
+        let model = CamalModel::train(&cfg, &case.train, &case.val, 2);
         g.bench_function(format!("n{n}"), |b| {
             b.iter(|| std::hint::black_box(model.localize_set(&case.test, 16).status.len()))
         });

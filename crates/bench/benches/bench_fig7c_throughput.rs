@@ -29,7 +29,7 @@ fn windows_of_len(w: usize, n: usize) -> WindowSet {
 
 fn bench(c: &mut Criterion) {
     let case = bench_case();
-    let mut model = CamalModel::train(&bench_camal_cfg(), &case.train, &case.val, 2);
+    let model = CamalModel::train(&bench_camal_cfg(), &case.train, &case.val, 2);
     let mut g = c.benchmark_group("fig7c_throughput_vs_length");
     g.sample_size(10);
     g.measurement_time(std::time::Duration::from_secs(3));

@@ -245,7 +245,7 @@ mod tests {
         let val = toy_set(8, 32, 4);
         let mut cfg = fast_cfg();
         cfg.train.epochs = 8;
-        let (mut members, _) = train_ensemble(&cfg, &train, &val, 2);
+        let (members, _) = train_ensemble(&cfg, &train, &val, 2);
         // Evaluate detection accuracy on fresh data.
         let test = toy_set(16, 32, 5);
         let idx: Vec<usize> = (0..test.len()).collect();

@@ -8,12 +8,15 @@
 //! expensive, model-independent work **once per feed** and fans the shared
 //! window batches out across every registered appliance model:
 //!
-//! 1. **Shard** — households are split into contiguous shards, one per
-//!    worker thread (vendored `rayon` fan-out). Each worker materializes its
-//!    own private copy of every model from a checkpoint snapshot, so no
-//!    locking happens on the hot path and results are bit-identical for any
-//!    thread count (window scoring is row-independent: eval-mode BatchNorm
-//!    uses running statistics).
+//! 1. **Shard** — a pass with enough work is split into contiguous
+//!    household shards, one per worker thread (vendored `rayon` fan-out),
+//!    each carrying at least [`SHARD_MIN_MACS`] of convolution work. Every
+//!    shard borrows the same copy of each model: inference takes `&self`
+//!    and keeps its scratch per thread, so no locking and no copying
+//!    happens on the hot path. Kernels inside a shard do not fan out again
+//!    ([`nilm_tensor::dispatch::fan_out`]). Results are
+//!    bit-identical for any shard count (window scoring is
+//!    row-independent: eval-mode BatchNorm uses running statistics).
 //! 2. **Shared pass** — inside a shard, each household is preprocessed once
 //!    and its windows pooled with every other household's into
 //!    GEMM-friendly batches; each assembled batch tensor is then reused
@@ -37,10 +40,24 @@ use nilm_data::appliance::ApplianceKind;
 use nilm_data::preprocess::{forward_fill, resample, valid_window_starts, INPUT_SCALE};
 use nilm_data::series::TimeSeries;
 use nilm_data::templates::template;
+use nilm_tensor::dispatch::fan_out;
 use nilm_tensor::tensor::Tensor;
-use rayon::prelude::*;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Multiply-accumulates of convolution work each household shard must
+/// carry before a fleet pass splits: a pass runs as `min(threads,
+/// households, work / SHARD_MIN_MACS)` shards, so no shard gets much less
+/// than this. A shard costs one scoped-thread spawn and join: about 35 µs
+/// warm and up to 300 µs cold on a 2-vCPU x86-64 VM, where one core runs a
+/// quick-scale fleet pass at 4–5 G conv MACs/s, so 2^25 MACs take about
+/// 7–8 ms and the spawn stays under a few percent of a shard. The floor
+/// also keeps interactive passes (one 128-sample window per request, at
+/// most 64 requests at about 0.5 M MACs each) on a single shard, where the
+/// kernels may still fan out.
+pub const SHARD_MIN_MACS: usize = 1 << 25;
 
 /// Post-processing plan for one appliance model inside a shared pass: what
 /// the model-independent engine cannot know about the appliance.
@@ -88,7 +105,7 @@ struct WindowJob {
 /// This is the core both [`crate::stream::serve`] (one model) and
 /// [`serve_fleet`] (one call per worker shard) execute.
 pub(crate) fn serve_shared(
-    models: &mut [&mut CamalModel],
+    models: &[&CamalModel],
     plans: &[AppliancePlan],
     households: &[HouseholdSeries],
     window: usize,
@@ -96,7 +113,6 @@ pub(crate) fn serve_shared(
     max_ffill_s: u32,
     batch: usize,
 ) -> (Vec<Vec<HouseholdTimeline>>, SharedPassCounters) {
-    nilm_fault::maybe_panic("fleet.shard.panic");
     assert!(window > 0, "window length must be positive");
     assert_eq!(models.len(), plans.len(), "one plan per model");
     for model in models.iter() {
@@ -175,7 +191,7 @@ pub(crate) fn serve_shared(
                 *d = v * INPUT_SCALE;
             }
         }
-        for (mi, model) in models.iter_mut().enumerate() {
+        for (mi, model) in models.iter().enumerate() {
             let loc = model.localize_batch(&x);
             counters.inferences += chunk.len();
             for (bi, job) in chunk.iter().enumerate() {
@@ -231,8 +247,10 @@ pub struct FleetConfig {
     /// Windows per inference batch, pooled across every household of a
     /// shard (each batch is reused across all appliance models).
     pub batch: usize,
-    /// Worker shards households are distributed over. Results are
-    /// bit-identical for any value; this only controls parallelism.
+    /// Most worker shards households are distributed over; a pass only
+    /// splits as far as every shard keeps [`SHARD_MIN_MACS`] of work.
+    /// Results are bit-identical for any value; this only controls
+    /// parallelism.
     pub threads: usize,
     /// Apply each appliance's duration priors on the stitched timelines.
     pub apply_priors: bool,
@@ -327,7 +345,8 @@ pub struct FleetSummary {
     pub appliances: usize,
     /// Shared window length of every model in the pass.
     pub window: usize,
-    /// Worker shards the households were distributed over.
+    /// Worker shards the households were distributed over (1 for a pass
+    /// below two shards' worth of [`SHARD_MIN_MACS`]).
     pub shards: usize,
     /// Windows the feeds were sliced into (counted once per feed).
     pub feed_windows_total: usize,
@@ -338,7 +357,8 @@ pub struct FleetSummary {
     pub inferences: usize,
     /// Batch tensors assembled across all shards.
     pub batches: usize,
-    /// Wall-clock seconds of the fan-out (model snapshots excluded).
+    /// Wall-clock seconds of the sharded pass, from the fan-out to the
+    /// last shard's join (model lookups and checkpoint loads excluded).
     pub elapsed_s: f64,
     /// `inferences / elapsed_s`.
     pub windows_per_second: f64,
@@ -349,7 +369,9 @@ pub struct FleetSummary {
     pub infer_s: f64,
     /// CPU-seconds in the stitch/power stage, summed across shards.
     pub stitch_s: f64,
-    /// Shards that panicked once and were retried on fresh model copies.
+    /// Shards that panicked once and were retried. The retry runs on the
+    /// same shared models: inference never writes to them, so a panic
+    /// cannot leave them half-updated.
     pub shard_retries: usize,
     /// Households answered with zeroed placeholder timelines because their
     /// shard panicked twice (see [`FleetHouseholdResult::degraded`]).
@@ -397,33 +419,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// One attempt at a shard on freshly rebuilt model copies. A panic anywhere
-/// inside — snapshot rebuild, preprocessing, inference, post-processing — is
-/// caught and returned as the panic message instead of unwinding into the
-/// caller (under rayon an uncaught worker panic would poison the whole
-/// fan-out).
-fn attempt_shard(
-    snapshots: &[Vec<u8>],
-    plans: &[AppliancePlan],
-    shard: &[HouseholdSeries],
-    window: usize,
-    cfg: &FleetConfig,
-) -> Result<(Vec<Vec<HouseholdTimeline>>, SharedPassCounters), String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut local: Vec<CamalModel> = snapshots
-            .iter()
-            .map(|bytes| {
-                CamalModel::from_bytes(bytes).expect(
-                    "fleet snapshot must reload: it was serialized from a live model this call",
-                )
-            })
-            .collect();
-        let mut refs: Vec<&mut CamalModel> = local.iter_mut().collect();
-        serve_shared(&mut refs, plans, shard, window, cfg.step_s, cfg.max_ffill_s, cfg.batch)
-    }))
-    .map_err(panic_message)
-}
-
 /// Zeroed placeholder timelines for a shard whose worker panicked twice:
 /// per household the correct resampled length, everything OFF at 0 W and no
 /// windows scored. The gateway surfaces these as structured degraded rows.
@@ -433,64 +428,101 @@ fn degraded_shard(
     window: usize,
     step_s: u32,
 ) -> Vec<Vec<HouseholdTimeline>> {
-    (0..plans.len())
-        .map(|_| {
-            shard
-                .iter()
-                .map(|hh| {
-                    let n = resample(&hh.series, step_s).len();
-                    HouseholdTimeline {
-                        id: hh.id.clone(),
-                        step_s,
-                        raw_status: vec![0u8; n],
-                        status: vec![0u8; n],
-                        power_w: vec![0.0; n],
-                        detection_proba: Vec::new(),
-                        windows_total: n / window.max(1),
-                        windows_scored: 0,
-                        windows_detected: 0,
-                        scored_starts: Vec::new(),
-                    }
-                })
-                .collect()
+    let rows: Vec<HouseholdTimeline> = shard
+        .iter()
+        .map(|hh| {
+            let n = resample(&hh.series, step_s).len();
+            HouseholdTimeline {
+                id: hh.id.clone(),
+                step_s,
+                raw_status: vec![0u8; n],
+                status: vec![0u8; n],
+                power_w: vec![0.0; n],
+                detection_proba: Vec::new(),
+                windows_total: n / window.max(1),
+                windows_scored: 0,
+                windows_detected: 0,
+                scored_starts: Vec::new(),
+            }
         })
-        .collect()
+        .collect();
+    vec![rows; plans.len()]
 }
 
-/// Runs one shard with panic isolation: first attempt, one retry on fresh
-/// model copies, then degraded placeholders if both panicked.
+/// Runs one shard with panic isolation: first attempt, one retry, then
+/// degraded placeholders if both panicked. A panic anywhere inside —
+/// preprocessing, inference, post-processing — is caught and returned as
+/// its message instead of unwinding into the caller (under rayon an
+/// uncaught worker panic would poison the whole fan-out). The shard index
+/// is the `fleet.shard.panic` fault site, so which shard an armed fault
+/// hits depends only on the fault seed, not on thread timing.
 fn run_shard_guarded(
-    snapshots: &[Vec<u8>],
+    site: usize,
+    models: &[&CamalModel],
     plans: &[AppliancePlan],
     shard: &[HouseholdSeries],
     window: usize,
     cfg: &FleetConfig,
 ) -> ShardOutcome {
-    match attempt_shard(snapshots, plans, shard, window, cfg) {
-        Ok((timelines, counters)) => {
-            ShardOutcome { timelines, counters, retries: 0, degraded: None }
-        }
-        Err(first) => match attempt_shard(snapshots, plans, shard, window, cfg) {
-            Ok((timelines, counters)) => {
-                ShardOutcome { timelines, counters, retries: 1, degraded: None }
-            }
-            Err(second) => ShardOutcome {
-                timelines: degraded_shard(plans, shard, window, cfg.step_s),
-                counters: SharedPassCounters::default(),
-                retries: 1,
-                degraded: Some(format!("shard worker panicked twice ({first}; then {second})")),
-            },
+    let attempt = || {
+        catch_unwind(AssertUnwindSafe(|| {
+            nilm_fault::maybe_panic_at("fleet.shard.panic", site as u64);
+            serve_shared(models, plans, shard, window, cfg.step_s, cfg.max_ffill_s, cfg.batch)
+        }))
+        .map_err(panic_message)
+    };
+    let (result, retries) = match attempt() {
+        Ok(done) => (Ok(done), 0),
+        Err(first) => (attempt().map_err(|second| (first, second)), 1),
+    };
+    match result {
+        Ok((timelines, counters)) => ShardOutcome { timelines, counters, retries, degraded: None },
+        Err((first, second)) => ShardOutcome {
+            timelines: degraded_shard(plans, shard, window, cfg.step_s),
+            counters: SharedPassCounters::default(),
+            retries,
+            degraded: Some(format!("shard worker panicked twice ({first}; then {second})")),
         },
     }
+}
+
+/// Worker threads a fleet pass can occupy: the `rayon` pool width
+/// (`RAYON_NUM_THREADS`, else the core count). Serving processes pass it
+/// as [`FleetConfig::threads`].
+pub fn available_threads() -> usize {
+    rayon::current_num_threads()
+}
+
+/// Household shards of a pass: at most `cfg.threads` and one per
+/// household, and only as many as keep [`SHARD_MIN_MACS`] of work each.
+/// The work is the MAC count of the models' stride-1 "same" convolutions:
+/// feed windows × Σ conv weights × window, where feed windows are the
+/// windows each resampled feed slices into (an upper bound on the scored
+/// ones that needs no preprocessing).
+fn shard_count(
+    models: &[&CamalModel],
+    households: &[HouseholdSeries],
+    window: usize,
+    cfg: &FleetConfig,
+) -> usize {
+    let conv_weights: usize = models.iter().map(|m| m.conv_weights()).sum();
+    let windows: usize = households
+        .iter()
+        .map(|hh| hh.series.len() / (cfg.step_s / hh.series.step_s.max(1)).max(1) as usize / window)
+        .sum();
+    let macs = windows.saturating_mul(conv_weights).saturating_mul(window);
+    cfg.threads.min(households.len()).min(macs / SHARD_MIN_MACS).max(1)
 }
 
 /// Serves every household against every requested appliance model in one
 /// shared pass per feed (see the module docs for the pipeline).
 ///
-/// Models are fetched (lazily loading checkpoints) from `registry`,
-/// snapshotted once, and re-materialized privately inside each worker
-/// shard, so the pass leaves the registry's resident set untouched and
-/// scales across threads without locks. Per-appliance duration priors and
+/// Models are fetched (lazily loading checkpoints) from `registry` once;
+/// every worker shard borrows the same `Arc` of each, so the pass scales
+/// across threads without locks or copies, and a bounded registry that
+/// evicts a model mid-pass cannot pull it from under a shard. Households
+/// are split into shards only when each keeps [`SHARD_MIN_MACS`] of work
+/// (at most `cfg.threads`). Per-appliance duration priors and
 /// average power come from each key's dataset template (Table I); a key
 /// absent from its template falls back to 1 kW with priors still applied.
 ///
@@ -544,10 +576,11 @@ pub fn serve_fleet(
     }
     // Fetch (lazily loading) every model once, validating that the fleet
     // shares a single training window.
+    let mut models: Vec<Arc<CamalModel>> = Vec::with_capacity(keys.len());
     let mut plans: Vec<AppliancePlan> = Vec::with_capacity(keys.len());
     let mut window = 0usize;
     for &key in keys {
-        let model = registry.get_mut(key)?;
+        let model = Arc::clone(registry.get_mut(key)?);
         let w = model.window();
         if w == 0 {
             return Err(FleetError::UnknownWindow(key));
@@ -563,102 +596,22 @@ pub fn serve_fleet(
             appliance: cfg.apply_priors.then_some(key.appliance),
             avg_power_w,
         });
+        models.push(model);
     }
+    let models: Vec<&CamalModel> = models.iter().map(|m| &**m).collect();
 
-    // Shard households contiguously, one shard per worker thread. Model
-    // staging (checkout or snapshot) happens before the throughput timer
-    // starts: `elapsed_s` measures serving, not serialization.
-    let shards = cfg.threads.max(1).min(households.len().max(1));
+    // Shard households contiguously. Each shard runs panic-isolated: one
+    // retry on the same models, then degraded placeholders, so a poisoned
+    // worker cannot sink the whole pass.
+    let shards = shard_count(&models, households, window, cfg);
     let per_shard = households.len().div_ceil(shards).max(1);
-    let shard_results: Vec<ShardOutcome>;
-    let elapsed_s;
-    if shards <= 1 {
-        // Single-shard fast path: check the resident models out of the
-        // registry and use them directly — no serialization, no rebuild.
-        // A bounded registry may have evicted an earlier key while the
-        // validation loop loaded a later one, so reload on demand; once a
-        // model is checked out it occupies no slot and cannot be evicted
-        // by the loads that follow.
-        let mut local: Vec<CamalModel> = Vec::with_capacity(keys.len());
-        for &k in keys {
-            let model = match registry.take_resident(k) {
-                Some(model) => model,
-                None => {
-                    registry.get_mut(k)?;
-                    registry.take_resident(k).expect("model resident after reload")
-                }
-            };
-            local.push(model);
-        }
-        let start = Instant::now();
-        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut refs: Vec<&mut CamalModel> = local.iter_mut().collect();
-            serve_shared(
-                &mut refs,
-                &plans,
-                households,
-                window,
-                cfg.step_s,
-                cfg.max_ffill_s,
-                cfg.batch,
-            )
-        }));
-        let outcome = match first {
-            Ok((timelines, counters)) => {
-                ShardOutcome { timelines, counters, retries: 0, degraded: None }
-            }
-            Err(payload) => {
-                // A panic can only interrupt scratch-buffer work — the
-                // checked-out models' weights are intact — so snapshot them
-                // and retry once on fresh rebuilds, exactly like the
-                // multi-shard path.
-                let first_msg = panic_message(payload);
-                let snapshots: Vec<Vec<u8>> = local.iter_mut().map(|m| m.to_bytes()).collect();
-                match attempt_shard(&snapshots, &plans, households, window, cfg) {
-                    Ok((timelines, counters)) => {
-                        ShardOutcome { timelines, counters, retries: 1, degraded: None }
-                    }
-                    Err(second) => ShardOutcome {
-                        timelines: degraded_shard(&plans, households, window, cfg.step_s),
-                        counters: SharedPassCounters::default(),
-                        retries: 1,
-                        degraded: Some(format!(
-                            "shard worker panicked twice ({first_msg}; then {second})"
-                        )),
-                    },
-                }
-            }
-        };
-        elapsed_s = start.elapsed().as_secs_f64();
-        for (&k, model) in keys.iter().zip(local) {
-            registry.restore(k, model);
-        }
-        shard_results = vec![outcome];
-    } else {
-        // Multi-shard: snapshot each model to checkpoint bytes (`persist`
-        // format) and let every worker rebuild private copies — the
-        // persistence tests pin the rebuilds bit-identical to the
-        // originals, so shard count never changes results. Each shard runs
-        // panic-isolated: one retry on fresh copies, then degraded
-        // placeholders, so a poisoned worker cannot sink the whole pass.
-        let mut snapshots: Vec<Vec<u8>> = Vec::with_capacity(keys.len());
-        for &key in keys {
-            snapshots.push(registry.get_mut(key)?.to_bytes());
-        }
-        let start = Instant::now();
-        // Shard workers run on pool threads with no trace context of their
-        // own; hand each one a snapshot of the caller's so per-stage spans
-        // (and kernel children) keep landing in the requests' traces.
-        let trace_ctx = nilm_obs::trace::snapshot();
-        shard_results = households
-            .par_chunks(per_shard)
-            .map(|shard| {
-                let _ctx = nilm_obs::trace::set_context(&trace_ctx);
-                run_shard_guarded(&snapshots, &plans, shard, window, cfg)
-            })
-            .collect();
-        elapsed_s = start.elapsed().as_secs_f64();
-    }
+    let shards: Vec<(usize, &[HouseholdSeries])> =
+        households.chunks(per_shard).enumerate().collect();
+    let start = Instant::now();
+    let shard_results = fan_out(&shards, |&(index, shard)| {
+        run_shard_guarded(index, &models, &plans, shard, window, cfg)
+    });
+    let elapsed_s = start.elapsed().as_secs_f64();
 
     // Reassemble: transpose each shard's [model][household] timelines into
     // per-household rows, preserving input household order.
@@ -729,19 +682,25 @@ mod tests {
     const WINDOW: usize = 32;
 
     fn random_model(kernels: &[usize], seed: u64) -> CamalModel {
+        let specs: Vec<BackboneSpec> =
+            kernels.iter().map(|&kernel| BackboneSpec::ResNet { kernel, width_div: 16 }).collect();
+        model_of(&specs, WINDOW, seed)
+    }
+
+    /// An untrained model with one member per spec, at `window`.
+    fn model_of(specs: &[BackboneSpec], window: usize, seed: u64) -> CamalModel {
         let cfg = CamalConfig {
-            n_ensemble: kernels.len(),
-            kernels: kernels.to_vec(),
+            n_ensemble: specs.len(),
+            kernels: specs.iter().filter_map(BackboneSpec::kernel).collect(),
             trials: 1,
             width_div: 16,
             ..Default::default()
         };
-        let members = kernels
+        let members = specs
             .iter()
             .enumerate()
-            .map(|(i, &k)| {
+            .map(|(i, &spec)| {
                 let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-                let spec = BackboneSpec::ResNet { kernel: k, width_div: cfg.width_div };
                 EnsembleMember {
                     net: build_from_spec(&mut rng, spec),
                     spec,
@@ -750,7 +709,7 @@ mod tests {
             })
             .collect();
         let mut model = CamalModel::from_members(cfg, members);
-        model.set_window(WINDOW);
+        model.set_window(window);
         model
     }
 
@@ -833,7 +792,7 @@ mod tests {
     fn single_appliance_fleet_matches_stream_serve() {
         // The N=1 fleet must be bit-identical to `stream::serve` — the
         // fleet path is a superset, not a different pipeline.
-        let mut model = random_model(&[5, 7], 11);
+        let model = random_model(&[5, 7], 11);
         let households = vec![toy_household(5, 4), toy_household(4, 5)];
         let key = kettle_key();
         let tmpl_avg = template(key.dataset).case(key.appliance).unwrap().avg_power_w;
@@ -845,7 +804,7 @@ mod tests {
             appliance: Some(key.appliance),
             avg_power_w: tmpl_avg,
         };
-        let solo = serve(&mut model, &households, &stream_cfg);
+        let solo = serve(&model, &households, &stream_cfg);
         let mut reg = ModelRegistry::unbounded();
         reg.insert(key, model);
         let fleet_cfg = FleetConfig { batch: 4, max_ffill_s: 180, ..FleetConfig::at_step(60) };
@@ -863,41 +822,79 @@ mod tests {
 
     #[test]
     fn shard_count_does_not_change_results() {
+        // A mixed ResNet + InceptionTime + TransApp zoo served at 1, 2 and
+        // 4 threads: every shard borrows the same models, and the output
+        // must not move a bit. The paper-width ResNet member (about 14 M
+        // MACs per window) gives the pass several shards' worth of work.
         let mut reg = ModelRegistry::unbounded();
         let k1 = kettle_key();
         let k2 = ModelKey::new(DatasetId::UkDale, ApplianceKind::Dishwasher);
-        reg.insert(k1, random_model(&[5], 21));
+        let mixed = [
+            BackboneSpec::ResNet { kernel: 5, width_div: 1 },
+            BackboneSpec::InceptionTime { kernel: 3, width_div: 16 },
+            BackboneSpec::TransApp { d_model: 8, heads: 2, d_ff: 16, layers: 1, downsample: 4 },
+        ];
+        reg.insert(k1, model_of(&mixed, WINDOW, 21));
         reg.insert(k2, random_model(&[9], 22));
         let households: Vec<HouseholdSeries> =
-            (0..5).map(|i| toy_household(3 + i % 3, 30 + i as u64)).collect();
-        let base = FleetConfig { batch: 3, ..FleetConfig::at_step(60) };
+            (0..4).map(|i| toy_household(2, 30 + i as u64)).collect();
+        let base = FleetConfig { batch: 4, ..FleetConfig::at_step(60) };
         let one = serve_fleet(&mut reg, &[k1, k2], &households, &base).unwrap();
-        let four = serve_fleet(
-            &mut reg,
-            &[k1, k2],
-            &households,
-            &FleetConfig { threads: 4, ..base.clone() },
-        )
-        .unwrap();
-        assert!(four.summary.shards > 1, "5 households over 4 threads must shard");
-        for (a, b) in one.households.iter().zip(&four.households) {
-            assert_eq!(a.id, b.id);
-            for (ta, tb) in a.timelines.iter().zip(&b.timelines) {
-                assert_eq!(ta.raw_status, tb.raw_status);
-                assert_eq!(ta.status, tb.status);
-                let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&ta.detection_proba), bits(&tb.detection_proba));
-                assert_eq!(bits(&ta.power_w), bits(&tb.power_w));
+        assert_eq!(one.summary.shards, 1);
+        for threads in [2, 4] {
+            let cfg = FleetConfig { threads, ..base.clone() };
+            let many = serve_fleet(&mut reg, &[k1, k2], &households, &cfg).unwrap();
+            assert!(many.summary.shards > 1, "{threads} threads over a heavy pass must shard");
+            for (a, b) in one.households.iter().zip(&many.households) {
+                assert_eq!(a.id, b.id);
+                for (ta, tb) in a.timelines.iter().zip(&b.timelines) {
+                    assert_eq!(ta.raw_status, tb.raw_status);
+                    assert_eq!(ta.status, tb.status);
+                    let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&ta.detection_proba), bits(&tb.detection_proba));
+                    assert_eq!(bits(&ta.power_w), bits(&tb.power_w));
+                }
             }
         }
     }
 
     #[test]
+    fn interactive_passes_stay_whole_and_bulk_passes_split() {
+        // The live_small benchmark pass: a 2-member smoke model (w = 128,
+        // width_div 16, kernels 5 and 9) and at most 64 coalesced requests
+        // of one window each — about 31 M MACs, under two shards' worth.
+        let smoke =
+            model_of(&[5, 9].map(|kernel| BackboneSpec::ResNet { kernel, width_div: 16 }), 128, 1);
+        let live: Vec<HouseholdSeries> = (0..64)
+            .map(|i| HouseholdSeries {
+                id: format!("live-{i}"),
+                series: TimeSeries::new(vec![150.0; 128], 60),
+            })
+            .collect();
+        let cfg = |threads| FleetConfig { threads, ..FleetConfig::at_step(60) };
+        assert_eq!(shard_count(&[&smoke], &live, 128, &cfg(64)), 1);
+        // The bulk_localize pass: three quick-scale models (w = 256,
+        // width_div 8, kernels 5, 9 and 15) over 4 day-long feeds, one of
+        // them at 10 s resolution — 20 windows of about 20 M MACs each.
+        let quick = [5, 9, 15].map(|kernel| BackboneSpec::ResNet { kernel, width_div: 8 });
+        let zoo: Vec<CamalModel> = (0..3).map(|i| model_of(&quick, 256, i)).collect();
+        let zoo: Vec<&CamalModel> = zoo.iter().collect();
+        let bulk: Vec<HouseholdSeries> = [10, 60, 60, 60]
+            .iter()
+            .map(|&step| HouseholdSeries {
+                id: format!("bulk-{step}"),
+                series: TimeSeries::new(vec![150.0; 86_400 / step as usize], step),
+            })
+            .collect();
+        assert_eq!(shard_count(&zoo, &bulk, 256, &cfg(2)), 2);
+        assert_eq!(shard_count(&zoo, &bulk, 256, &cfg(64)), 4, "one shard per household at most");
+    }
+
+    #[test]
     fn bounded_registry_survives_single_shard_pass_with_many_keys() {
         // Regression: with max_loaded < keys.len(), the validation loop's
-        // later loads evict earlier models; the single-shard checkout must
-        // reload them on demand instead of panicking, and restoring the
-        // checked-out models must re-enforce the budget.
+        // later loads evict earlier models; the pass must keep serving the
+        // evicted ones from its own `Arc`s, and the budget must hold.
         let dir = std::env::temp_dir().join(format!("camal_fleet_bounded_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -930,7 +927,8 @@ mod tests {
 
     #[test]
     fn fleet_pass_leaves_registry_residency_unchanged() {
-        // Workers use snapshots; a bounded registry must not thrash.
+        // Workers share the registry's models; a bounded registry must not
+        // thrash.
         let dir = std::env::temp_dir().join(format!("camal_fleet_reg_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();

@@ -9,7 +9,6 @@ use crate::power::estimate_power;
 use nilm_data::windows::WindowSet;
 use nilm_metrics::{ClassificationReport, Confusion, EnergyReport};
 
-use nilm_tensor::layer::Mode;
 use nilm_tensor::tensor::Tensor;
 use std::time::Instant;
 
@@ -44,6 +43,10 @@ pub struct CaseReport {
 }
 
 /// A trained CamAL instance for one appliance.
+///
+/// Inference ([`CamalModel::localize_batch`] and everything built on it)
+/// takes `&self`, so one model behind an `Arc` serves every thread of a
+/// fleet pass at once.
 pub struct CamalModel {
     cfg: CamalConfig,
     members: Vec<EnsembleMember>,
@@ -51,9 +54,20 @@ pub struct CamalModel {
     /// assembled via [`CamalModel::from_members`]). Persisted in
     /// checkpoints so a serving process can slice inputs correctly.
     window: usize,
+    /// Trainable parameters per member (shape-only, fixed at assembly).
+    param_counts: Vec<usize>,
+    /// Convolution weights summed over every member (see
+    /// [`CamalModel::conv_weights`]).
+    conv_weights: usize,
     /// Statistics of the Algorithm 1 run that produced this model.
     pub train_stats: EnsembleStats,
 }
+
+// Fleet shards share one model across threads through an `Arc`.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<CamalModel>();
+};
 
 impl CamalModel {
     /// Trains CamAL with Algorithm 1. `threads` bounds candidate-training
@@ -61,13 +75,36 @@ impl CamalModel {
     pub fn train(cfg: &CamalConfig, train: &WindowSet, val: &WindowSet, threads: usize) -> Self {
         let (members, stats) = train_ensemble(cfg, train, val, threads);
         assert!(!members.is_empty(), "ensemble training produced no members");
-        CamalModel { cfg: cfg.clone(), members, window: train.window_len(), train_stats: stats }
+        let mut model = Self::from_members(cfg.clone(), members);
+        model.window = train.window_len();
+        model.train_stats = stats;
+        model
     }
 
     /// Builds a model from pre-trained members (used by ablation studies).
-    pub fn from_members(cfg: CamalConfig, members: Vec<EnsembleMember>) -> Self {
+    pub fn from_members(cfg: CamalConfig, mut members: Vec<EnsembleMember>) -> Self {
         assert!(!members.is_empty());
-        CamalModel { cfg, members, window: 0, train_stats: EnsembleStats::default() }
+        let mut conv_weights = 0;
+        let param_counts = members
+            .iter_mut()
+            .map(|m| {
+                // Convolution kernels are the only rank-3 parameters.
+                m.net.visit_params(&mut |p| {
+                    if p.value.rank() == 3 {
+                        conv_weights += p.len();
+                    }
+                });
+                m.net.num_params()
+            })
+            .collect();
+        CamalModel {
+            cfg,
+            members,
+            window: 0,
+            param_counts,
+            conv_weights,
+            train_stats: EnsembleStats::default(),
+        }
     }
 
     /// Configuration the model was trained with.
@@ -144,22 +181,30 @@ impl CamalModel {
     }
 
     /// Total trainable parameters across the ensemble (Table II row CamAL).
-    pub fn num_params(&mut self) -> usize {
-        self.members.iter_mut().map(|m| m.net.num_params()).sum()
+    pub fn num_params(&self) -> usize {
+        self.param_counts.iter().sum()
     }
 
     /// Trainable parameters of each member (ascending val loss) — paired
     /// with [`CamalModel::describe_members`] in manifests and `/v1/models`.
-    pub fn member_param_counts(&mut self) -> Vec<usize> {
-        self.members.iter_mut().map(|m| m.net.num_params()).collect()
+    pub fn member_param_counts(&self) -> Vec<usize> {
+        self.param_counts.clone()
+    }
+
+    /// Convolution weights summed over every member. A stride-1 "same"
+    /// convolution performs one multiply-accumulate per weight and input
+    /// sample, so `conv_weights() × window` is the model's MAC count per
+    /// scored window — the work measure the fleet sizes its shards by.
+    pub fn conv_weights(&self) -> usize {
+        self.conv_weights
     }
 
     /// Ensemble detection probability (mean of member class-1 softmax) for a
     /// `[b, 1, t]` input batch (paper step 1).
-    pub fn detect_proba(&mut self, x: &Tensor) -> Vec<f32> {
+    pub fn detect_proba(&self, x: &Tensor) -> Vec<f32> {
         let b = x.dims3().0;
         let mut probs = vec![0.0f32; b];
-        for member in &mut self.members {
+        for member in &self.members {
             let p = member.net.predict_proba(x);
             for (bi, pr) in probs.iter_mut().enumerate() {
                 *pr += p.at2(bi, 1);
@@ -173,22 +218,21 @@ impl CamalModel {
     /// Runs the full CamAL pipeline (Fig. 3) on a `[b, 1, t]` batch whose
     /// rows are the scaled inputs of `windows` (needed for the attention
     /// mask). Returns per-window detection and localization.
-    pub fn localize_batch(&mut self, x: &Tensor) -> Localization {
+    pub fn localize_batch(&self, x: &Tensor) -> Localization {
         let (b, _, t) = x.dims3();
-        // Step 1–2: ensemble probability and detection gate. The member
-        // forward passes also cache the feature maps for CAM extraction.
-        // `Mode::Infer` is bit-identical to eval but skips every
-        // backward-only cache — the serving path never differentiates.
+        // Step 1–2: ensemble probability and detection gate. The stateless
+        // member inference returns the feature maps along with the logits,
+        // bit-identical to an eval forward without any of its caches.
         let mut probs = vec![0.0f32; b];
         let mut member_cams: Vec<Tensor> = Vec::with_capacity(self.members.len());
-        for member in &mut self.members {
-            let (_, logits) = member.net.forward_features(x, Mode::Infer);
-            let p = nilm_tensor::activation::softmax_rows(&logits);
+        for member in &self.members {
+            let out = member.net.infer_features(x);
+            let p = nilm_tensor::activation::softmax_rows(&out.logits);
             for (bi, pr) in probs.iter_mut().enumerate() {
                 *pr += p.at2(bi, 1);
             }
             // Step 3–4: per-member CAM for class 1, normalized per window.
-            let mut cam = member.net.cam(1);
+            let mut cam = out.cam(member.net.head_weights(), 1);
             for bi in 0..b {
                 normalize_cam(&mut cam.data_mut()[bi * t..(bi + 1) * t]);
             }
@@ -221,7 +265,7 @@ impl CamalModel {
     }
 
     /// Localizes every window of a set (batched).
-    pub fn localize_set(&mut self, set: &WindowSet, batch: usize) -> Localization {
+    pub fn localize_set(&self, set: &WindowSet, batch: usize) -> Localization {
         let mut all = Localization::default();
         let indices: Vec<usize> = (0..set.len()).collect();
         let mut x = Tensor::zeros(&[0]);
@@ -243,19 +287,19 @@ impl CamalModel {
     /// graded attention-sigmoid scores (a historical bug returned the
     /// binarized status cast to `f32`, collapsing the augmentation into
     /// hard labels).
-    pub fn soft_labels(&mut self, set: &WindowSet, batch: usize) -> Vec<Vec<f32>> {
+    pub fn soft_labels(&self, set: &WindowSet, batch: usize) -> Vec<Vec<f32>> {
         self.localize_set(set, batch).scores
     }
 
     /// Evaluates localization + energy + detection on a ground-truth window
     /// set, applying the §IV-C power post-processing with `avg_power_w`.
-    pub fn evaluate(&mut self, set: &WindowSet, avg_power_w: f32, batch: usize) -> CaseReport {
+    pub fn evaluate(&self, set: &WindowSet, avg_power_w: f32, batch: usize) -> CaseReport {
         let loc = self.localize_set(set, batch);
         report_from_status(set, &loc.status, &loc.detected, avg_power_w)
     }
 
     /// Single-threaded inference throughput in windows/second (Fig. 7(c)).
-    pub fn throughput(&mut self, set: &WindowSet, batch: usize) -> f64 {
+    pub fn throughput(&self, set: &WindowSet, batch: usize) -> f64 {
         let start = Instant::now();
         let _ = self.localize_set(set, batch);
         set.len() as f64 / start.elapsed().as_secs_f64().max(1e-9)
@@ -313,7 +357,7 @@ mod tests {
         let train = toy_set(32, 32, 1);
         let val = toy_set(8, 32, 2);
         let test = toy_set(16, 32, 9);
-        let mut model = CamalModel::train(&fast_cfg(), &train, &val, 2);
+        let model = CamalModel::train(&fast_cfg(), &train, &val, 2);
         let report = model.evaluate(&test, 2000.0, 8);
         // The toy signal is trivially separable; CamAL must do clearly
         // better than random (F1 of all-ones predictor ~ 0.5 here).
@@ -325,7 +369,7 @@ mod tests {
     fn undetected_windows_have_all_zero_status() {
         let train = toy_set(32, 32, 3);
         let val = toy_set(8, 32, 4);
-        let mut model = CamalModel::train(&fast_cfg(), &train, &val, 2);
+        let model = CamalModel::train(&fast_cfg(), &train, &val, 2);
         let test = toy_set(12, 32, 5);
         let loc = model.localize_set(&test, 4);
         for (i, det) in loc.detected.iter().enumerate() {
@@ -338,7 +382,7 @@ mod tests {
     #[test]
     fn cams_are_normalized() {
         let train = toy_set(16, 32, 6);
-        let mut model = CamalModel::train(&fast_cfg(), &train, &train, 2);
+        let model = CamalModel::train(&fast_cfg(), &train, &train, 2);
         let loc = model.localize_set(&train, 4);
         for cam in &loc.cam {
             assert!(cam.iter().all(|&v| (0.0..=1.0).contains(&v)), "CAM out of [0,1]");
@@ -348,7 +392,7 @@ mod tests {
     #[test]
     fn soft_labels_are_scores_consistent_with_status() {
         let train = toy_set(16, 32, 7);
-        let mut model = CamalModel::train(&fast_cfg(), &train, &train, 2);
+        let model = CamalModel::train(&fast_cfg(), &train, &train, 2);
         let soft = model.soft_labels(&train, 4);
         let loc = model.localize_set(&train, 4);
         assert_eq!(soft.len(), loc.status.len());
@@ -371,7 +415,7 @@ mod tests {
         // `status as f32`, so every value was exactly 0.0 or 1.0. Real
         // post-sigmoid scores must be graded.
         let train = toy_set(32, 32, 7);
-        let mut model = CamalModel::train(&fast_cfg(), &train, &train, 2);
+        let model = CamalModel::train(&fast_cfg(), &train, &train, 2);
         let soft = model.soft_labels(&train, 8);
         let loc = model.localize_set(&train, 8);
         let detected: Vec<usize> = (0..train.len()).filter(|&i| loc.detected[i]).collect();
@@ -383,7 +427,7 @@ mod tests {
     #[test]
     fn detection_probability_is_mean_of_members() {
         let train = toy_set(16, 32, 8);
-        let mut model = CamalModel::train(&fast_cfg(), &train, &train, 2);
+        let model = CamalModel::train(&fast_cfg(), &train, &train, 2);
         let idx: Vec<usize> = (0..4).collect();
         let x = train.batch_inputs(&idx);
         let probs = model.detect_proba(&x);

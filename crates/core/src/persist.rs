@@ -529,7 +529,7 @@ mod tests {
         let x = set.batch_inputs(&idx);
         let mut model = untrained_model(Backbone::ResNet, &[5, 7]);
         let bytes = to_bytes(&mut model);
-        let mut back = from_bytes(&bytes).unwrap();
+        let back = from_bytes(&bytes).unwrap();
         let a = model.localize_batch(&x);
         let b = back.localize_batch(&x);
         assert_eq!(a.status, b.status);

@@ -19,8 +19,10 @@
 //! the quarantine, so a checkpoint that is repaired on disk heals without a
 //! restart.
 //!
-//! The registry is the model source of the [`crate::fleet`] scheduler, which
-//! snapshots the models it needs and fans them out across worker shards.
+//! Resident models are held as `Arc<CamalModel>`: the registry is the model
+//! source of the [`crate::fleet`] scheduler, whose worker shards all borrow
+//! the same copy of each model (inference takes `&self`), and a fleet pass
+//! keeps its `Arc`s alive even if the LRU budget evicts a model mid-pass.
 
 use crate::model::CamalModel;
 use nilm_data::appliance::ApplianceKind;
@@ -29,6 +31,7 @@ use nilm_tensor::serialize::SerializeError;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Identity of one deployed detector: the dataset template it was trained on
@@ -232,7 +235,7 @@ struct Slot {
     /// never evicted.
     path: Option<PathBuf>,
     /// The resident model (`None` = registered but not loaded / evicted).
-    model: Option<CamalModel>,
+    model: Option<Arc<CamalModel>>,
     /// LRU clock value of the last access.
     last_used: u64,
     /// Metadata cached at insert/first-load time for the manifest.
@@ -346,10 +349,12 @@ impl ModelRegistry {
         self.stats
     }
 
-    /// Registers an in-memory model (e.g. straight out of training). The
-    /// model is pinned: it has no backing file, so the LRU budget never
-    /// evicts it. Replaces any previous entry under `key`.
-    pub fn insert(&mut self, key: ModelKey, mut model: CamalModel) {
+    /// Registers an in-memory model (e.g. straight out of training, or an
+    /// `Arc` another registry already holds). The model is pinned: it has
+    /// no backing file, so the LRU budget never evicts it. Replaces any
+    /// previous entry under `key`.
+    pub fn insert(&mut self, key: ModelKey, model: impl Into<Arc<CamalModel>>) {
+        let model = model.into();
         self.clock += 1;
         let slot = Slot {
             path: None,
@@ -404,15 +409,16 @@ impl ModelRegistry {
     }
 
     /// Returns the model for `key`, loading it from its checkpoint if it is
-    /// not resident. Updates the LRU clock and, when a load pushes the
-    /// resident count over the budget, evicts least-recently-used
-    /// file-backed models until it fits again.
+    /// not resident. `&mut self` because a lookup updates the LRU clock and,
+    /// when a load pushes the resident count over the budget, evicts
+    /// least-recently-used file-backed models until it fits again; the
+    /// model itself is shared (clone the `Arc` to keep it past the borrow).
     ///
     /// Load failures count toward the quarantine policy: inside an open
     /// quarantine window the file is not touched and the lookup fails fast
     /// with [`RegistryError::Quarantined`]; a successful load clears the
     /// failure streak.
-    pub fn get_mut(&mut self, key: ModelKey) -> Result<&mut CamalModel, RegistryError> {
+    pub fn get_mut(&mut self, key: ModelKey) -> Result<&Arc<CamalModel>, RegistryError> {
         if !self.slots.contains_key(&key) {
             return Err(RegistryError::Unknown(key));
         }
@@ -431,13 +437,13 @@ impl ModelRegistry {
                 }
             }
             match CamalModel::load(&path) {
-                Ok(mut model) => {
+                Ok(model) => {
                     let slot = self.slots.get_mut(&key).expect("checked above");
                     slot.window = model.window();
                     slot.ensemble_size = model.ensemble_size();
                     slot.backbones = model.describe_members();
                     slot.param_counts = model.member_param_counts();
-                    slot.model = Some(model);
+                    slot.model = Some(Arc::new(model));
                     slot.last_used = clock;
                     slot.failures = 0;
                     slot.quarantined_until = None;
@@ -460,7 +466,7 @@ impl ModelRegistry {
         }
         let slot = self.slots.get_mut(&key).expect("checked above");
         slot.last_used = clock;
-        Ok(slot.model.as_mut().expect("slot resident after load"))
+        Ok(slot.model.as_ref().expect("slot resident after load"))
     }
 
     /// Drops `key`'s model from memory, keeping the registration. Returns
@@ -500,25 +506,6 @@ impl ModelRegistry {
                 None => break,
             }
         }
-    }
-
-    /// Temporarily removes a resident model from its slot (no stats or
-    /// eviction bookkeeping) so a caller can hold several models mutably at
-    /// once. The caller must hand the model back with
-    /// [`ModelRegistry::restore`]; the slot stays registered meanwhile.
-    /// A checked-out model cannot be evicted (it is not in its slot).
-    /// Used by the fleet scheduler's single-shard fast path.
-    pub(crate) fn take_resident(&mut self, key: ModelKey) -> Option<CamalModel> {
-        self.slots.get_mut(&key).and_then(|slot| slot.model.take())
-    }
-
-    /// Returns a model checked out with [`ModelRegistry::take_resident`],
-    /// then re-enforces the residency budget (restoring several checked-out
-    /// models must not permanently overshoot `max_loaded`).
-    pub(crate) fn restore(&mut self, key: ModelKey, model: CamalModel) {
-        let slot = self.slots.get_mut(&key).expect("restore of a key that was never registered");
-        slot.model = Some(model);
-        self.enforce_budget(key);
     }
 
     /// One row per registered model: residency, backing file and (once
@@ -650,7 +637,7 @@ mod tests {
         let dir = temp_zoo("backbones");
         let pinned = ModelKey::new(DatasetId::Refit, ApplianceKind::Kettle);
         let lazy = ModelKey::new(DatasetId::UkDale, ApplianceKind::Dishwasher);
-        let mut expected = mixed_model(11);
+        let expected = mixed_model(11);
         let expected_backbones = expected.describe_members();
         let expected_params = expected.member_param_counts();
         mixed_model(11).save(dir.join(lazy.file_name())).unwrap();

@@ -191,23 +191,23 @@ impl HouseholdTimeline {
 /// use camal::CamalModel;
 /// use nilm_data::prelude::*;
 ///
-/// let mut model = CamalModel::load("refit_kettle.ckpt").unwrap();
+/// let model = CamalModel::load("refit_kettle.ckpt").unwrap();
 /// let cfg = StreamConfig::for_appliance(model.window(), 60, ApplianceKind::Kettle, 2000.0);
 /// let feed = HouseholdSeries {
 ///     id: "house-0".into(),
 ///     series: TimeSeries::new(vec![120.0; 24 * 60], 60),
 /// };
-/// let timelines = serve(&mut model, &[feed], &cfg);
+/// let timelines = serve(&model, &[feed], &cfg);
 /// println!("kettle ran {} times", timelines[0].activations());
 /// ```
 pub fn serve(
-    model: &mut CamalModel,
+    model: &CamalModel,
     households: &[HouseholdSeries],
     cfg: &StreamConfig,
 ) -> Vec<HouseholdTimeline> {
     let plans = [AppliancePlan { appliance: cfg.appliance, avg_power_w: cfg.avg_power_w }];
     let (mut per_model, _) = crate::fleet::serve_shared(
-        &mut [model],
+        &[model],
         &plans,
         households,
         cfg.window,
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn serve_covers_every_household_and_sample() {
-        let mut model = trained_model();
+        let model = trained_model();
         let hh: Vec<HouseholdSeries> = (0..3)
             .map(|i| HouseholdSeries {
                 id: format!("house-{i}"),
@@ -270,7 +270,7 @@ mod tests {
             appliance: None,
             avg_power_w: 2000.0,
         };
-        let out = serve(&mut model, &hh, &cfg);
+        let out = serve(&model, &hh, &cfg);
         assert_eq!(out.len(), 3);
         for tl in &out {
             assert_eq!(tl.windows_total, 5);
@@ -288,7 +288,7 @@ mod tests {
     fn streaming_matches_windowed_batch_pre_prior() {
         // The stitched raw statuses must equal `localize_set` run over the
         // same windows — streaming is a transport, not a different model.
-        let mut model = trained_model();
+        let model = trained_model();
         let series = toy_series(32 * 6, 9);
         let hh = vec![HouseholdSeries { id: "h".into(), series: series.clone() }];
         let cfg = StreamConfig {
@@ -299,7 +299,7 @@ mod tests {
             appliance: None,
             avg_power_w: 2000.0,
         };
-        let out = serve(&mut model, &hh, &cfg);
+        let out = serve(&model, &hh, &cfg);
         let windows = nilm_data::preprocess::slice_windows(&series, None, 300.0, 32, 0, false);
         let set = nilm_data::windows::WindowSet::new(windows);
         let loc = model.localize_set(&set, 16);
@@ -314,7 +314,7 @@ mod tests {
 
     #[test]
     fn gaps_are_skipped_but_timeline_stays_full_length() {
-        let mut model = trained_model();
+        let model = trained_model();
         let mut series = toy_series(32 * 4, 5);
         // Poison one window with an unfillable gap.
         for v in series.values[40..70].iter_mut() {
@@ -329,7 +329,7 @@ mod tests {
             appliance: None,
             avg_power_w: 2000.0,
         };
-        let out = serve(&mut model, &hh, &cfg);
+        let out = serve(&model, &hh, &cfg);
         assert_eq!(out[0].windows_total, 4);
         assert!(out[0].windows_scored < 4, "gap window must be skipped");
         assert_eq!(out[0].raw_status.len(), 32 * 4);
@@ -363,7 +363,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "trained at window")]
     fn serve_rejects_mismatched_window() {
-        let mut model = trained_model(); // trained at window 32
+        let model = trained_model(); // trained at window 32
         let hh = vec![HouseholdSeries { id: "h".into(), series: toy_series(128, 1) }];
         let cfg = StreamConfig {
             window: 64, // wrong: silently degraded output without the guard
@@ -373,7 +373,7 @@ mod tests {
             appliance: None,
             avg_power_w: 2000.0,
         };
-        let _ = serve(&mut model, &hh, &cfg);
+        let _ = serve(&model, &hh, &cfg);
     }
 
     #[test]

@@ -80,8 +80,8 @@ fn v2_checkpoint_loads_with_resnet_specs() {
 
 #[test]
 fn v2_checkpoint_serves_bit_identically_to_its_source_model() {
-    let mut expected = fixture_source_model();
-    let mut back = CamalModel::from_bytes(FIXTURE).expect("v2 fixture must keep loading");
+    let expected = fixture_source_model();
+    let back = CamalModel::from_bytes(FIXTURE).expect("v2 fixture must keep loading");
     let x = probe_batch(5, 0xC0FFEE);
     let pa: Vec<u32> = expected.detect_proba(&x).iter().map(|p| p.to_bits()).collect();
     let pb: Vec<u32> = back.detect_proba(&x).iter().map(|p| p.to_bits()).collect();
@@ -99,7 +99,7 @@ fn v2_checkpoint_resaves_as_v3_and_still_serves_identically() {
     let upgraded = back.to_bytes();
     let version = u32::from_le_bytes(upgraded[8..12].try_into().unwrap());
     assert_eq!(version, persist::CHECKPOINT_VERSION, "re-save must upgrade the format");
-    let mut v3 = CamalModel::from_bytes(&upgraded).expect("upgraded checkpoint must load");
+    let v3 = CamalModel::from_bytes(&upgraded).expect("upgraded checkpoint must load");
     assert_eq!(v3.member_specs(), back.member_specs());
     let x = probe_batch(4, 0xFEED);
     let pa: Vec<u32> = back.detect_proba(&x).iter().map(|p| p.to_bits()).collect();

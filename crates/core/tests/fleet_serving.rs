@@ -18,11 +18,22 @@ use std::path::PathBuf;
 const WINDOW: usize = 32;
 
 fn random_model(kernels: &[usize], seed: u64) -> CamalModel {
+    resnet_model(kernels, 16, seed)
+}
+
+/// A paper-width ResNet model: about 14 M convolution MACs per window, so
+/// a few households give a pass several shards' worth of work
+/// (`camal::fleet::SHARD_MIN_MACS`).
+fn heavy_model(seed: u64) -> CamalModel {
+    resnet_model(&[5], 1, seed)
+}
+
+fn resnet_model(kernels: &[usize], width_div: usize, seed: u64) -> CamalModel {
     let cfg = CamalConfig {
         n_ensemble: kernels.len(),
         kernels: kernels.to_vec(),
         trials: 1,
-        width_div: 16,
+        width_div,
         ..Default::default()
     };
     let members = kernels
@@ -105,7 +116,7 @@ fn temp_dir(name: &str) -> PathBuf {
 fn fleet_of_one_is_bit_identical_to_stream_serve() {
     let key = ModelKey::new(DatasetId::Refit, ApplianceKind::Dishwasher);
     let avg_power_w = template(key.dataset).case(key.appliance).unwrap().avg_power_w;
-    let mut model = random_model(&[5, 7], 51);
+    let model = random_model(&[5, 7], 51);
     let households: Vec<HouseholdSeries> =
         (0..3).map(|i| gappy_household(4 + i, 60 + i as u64)).collect();
     let stream_cfg = StreamConfig {
@@ -116,7 +127,7 @@ fn fleet_of_one_is_bit_identical_to_stream_serve() {
         appliance: Some(key.appliance),
         avg_power_w,
     };
-    let solo = serve(&mut model, &households, &stream_cfg);
+    let solo = serve(&model, &households, &stream_cfg);
 
     let mut registry = ModelRegistry::unbounded();
     registry.insert(key, model);
@@ -151,11 +162,12 @@ fn worker_thread_count_is_invisible_in_fleet_output() {
         ModelKey::new(DatasetId::Refit, ApplianceKind::Microwave),
     ];
     let mut registry = ModelRegistry::unbounded();
-    for (i, &key) in keys.iter().enumerate() {
+    registry.insert(keys[0], heavy_model(70));
+    for (i, &key) in keys.iter().enumerate().skip(1) {
         registry.insert(key, random_model(&[5 + 2 * (i % 2)], 70 + i as u64));
     }
     let households: Vec<HouseholdSeries> =
-        (0..6).map(|i| gappy_household(3 + i % 4, 80 + i as u64)).collect();
+        (0..4).map(|i| gappy_household(2 + i % 2, 80 + i as u64)).collect();
     let base =
         FleetConfig { step_s: 60, max_ffill_s: 120, batch: 4, threads: 1, apply_priors: true };
     let one = serve_fleet(&mut registry, &keys, &households, &base).unwrap();
@@ -163,7 +175,7 @@ fn worker_thread_count_is_invisible_in_fleet_output() {
         .unwrap();
 
     assert_eq!(one.summary.shards, 1);
-    assert!(four.summary.shards > 1, "6 households over 4 threads must use several shards");
+    assert!(four.summary.shards > 1, "4 heavy households over 4 threads must use several shards");
     assert_eq!(one.summary.inferences, four.summary.inferences);
     assert_eq!(one.households.len(), four.households.len());
     for (a, b) in one.households.iter().zip(&four.households) {
@@ -190,16 +202,16 @@ fn mixed_backbone_zoo_is_shard_invariant_and_matches_stream_serve() {
     ];
     let mut registry = ModelRegistry::unbounded();
     registry.insert(keys[0], random_mixed_model(71));
-    registry.insert(keys[1], random_model(&[5], 72)); // pure ResNet neighbour
+    registry.insert(keys[1], heavy_model(72)); // pure ResNet neighbour, heavy enough to shard
     registry.insert(keys[2], random_mixed_model(73));
     let households: Vec<HouseholdSeries> =
-        (0..6).map(|i| gappy_household(3 + i % 4, 180 + i as u64)).collect();
+        (0..4).map(|i| gappy_household(2 + i % 2, 180 + i as u64)).collect();
     let base =
         FleetConfig { step_s: 60, max_ffill_s: 120, batch: 4, threads: 1, apply_priors: true };
     let one = serve_fleet(&mut registry, &keys, &households, &base).unwrap();
     let four = serve_fleet(&mut registry, &keys, &households, &FleetConfig { threads: 4, ..base })
         .unwrap();
-    assert!(four.summary.shards > 1, "6 households over 4 threads must use several shards");
+    assert!(four.summary.shards > 1, "4 heavy households over 4 threads must use several shards");
     for (a, b) in one.households.iter().zip(&four.households) {
         assert_eq!(a.id, b.id);
         for (ta, tb) in a.timelines.iter().zip(&b.timelines) {
@@ -213,7 +225,7 @@ fn mixed_backbone_zoo_is_shard_invariant_and_matches_stream_serve() {
     // Mixed fleet-of-one vs direct stream::serve, bit-for-bit.
     let key = keys[0];
     let avg_power_w = template(key.dataset).case(key.appliance).unwrap().avg_power_w;
-    let mut solo_model = random_mixed_model(71);
+    let solo_model = random_mixed_model(71);
     let stream_cfg = StreamConfig {
         window: WINDOW,
         step_s: 60,
@@ -222,7 +234,7 @@ fn mixed_backbone_zoo_is_shard_invariant_and_matches_stream_serve() {
         appliance: Some(key.appliance),
         avg_power_w,
     };
-    let solo = serve(&mut solo_model, &households, &stream_cfg);
+    let solo = serve(&solo_model, &households, &stream_cfg);
     let fleet_cfg = FleetConfig { batch: 5, ..base };
     let fleet = serve_fleet(&mut registry, &[key], &households, &fleet_cfg).unwrap();
     for (hi, tl) in solo.iter().enumerate() {
@@ -267,7 +279,8 @@ fn checkpoint_zoo_roundtrips_through_bounded_registry() {
             assert_eq!(f32_bits(&ta.power_w), f32_bits(&tb.power_w));
         }
     }
-    // The budget of 1 forced an eviction while snapshotting both models.
+    // The budget of 1 forced an eviction while fetching both models; the
+    // pass kept serving the evicted one from its own `Arc`.
     assert!(from_disk.loaded_count() <= 1);
     assert!(from_disk.stats().evictions >= 1);
     let _ = std::fs::remove_dir_all(&dir);

@@ -174,7 +174,7 @@ fn checkpoint_file_roundtrip_across_model_instances() {
     let path = dir.join("model.ckpt");
     let mut model = random_model(Backbone::ResNet, &[5, 9], 7);
     model.save(&path).expect("save");
-    let mut back = CamalModel::load(&path).expect("load");
+    let back = CamalModel::load(&path).expect("load");
     let x = probe_batch(6, 99);
     assert_eq!(model.localize_batch(&x).status, back.localize_batch(&x).status);
     assert_eq!(back.config().kernels, vec![5, 9], "config kernel grid preserved");
@@ -228,7 +228,7 @@ fn household_and_windows(n_windows: usize, seed: u64) -> (HouseholdSeries, Windo
 
 #[test]
 fn streaming_equals_windowed_batch_before_priors() {
-    let mut model = random_model(Backbone::ResNet, &[5, 7], 11);
+    let model = random_model(Backbone::ResNet, &[5, 7], 11);
     let (household, set) = household_and_windows(9, 5);
     let cfg = StreamConfig {
         window: WINDOW,
@@ -238,7 +238,7 @@ fn streaming_equals_windowed_batch_before_priors() {
         appliance: None,
         avg_power_w: 2000.0,
     };
-    let out = serve(&mut model, std::slice::from_ref(&household), &cfg);
+    let out = serve(&model, std::slice::from_ref(&household), &cfg);
     let loc = model.localize_set(&set, 16);
     assert_eq!(out[0].windows_scored, set.len());
     for (wi, st) in loc.status.iter().enumerate() {
@@ -255,7 +255,7 @@ fn streaming_equals_windowed_batch_before_priors() {
 fn streaming_batches_across_households() {
     // Two households served together must produce the same timelines as
     // each served alone: cross-household batching is invisible.
-    let mut model = random_model(Backbone::ResNet, &[5], 13);
+    let model = random_model(Backbone::ResNet, &[5], 13);
     let (h0, _) = household_and_windows(5, 21);
     let (h1, _) = household_and_windows(7, 22);
     let cfg = StreamConfig {
@@ -266,9 +266,9 @@ fn streaming_batches_across_households() {
         appliance: None,
         avg_power_w: 2000.0,
     };
-    let joint = serve(&mut model, &[h0.clone(), h1.clone()], &cfg);
-    let solo0 = serve(&mut model, std::slice::from_ref(&h0), &cfg);
-    let solo1 = serve(&mut model, std::slice::from_ref(&h1), &cfg);
+    let joint = serve(&model, &[h0.clone(), h1.clone()], &cfg);
+    let solo0 = serve(&model, std::slice::from_ref(&h0), &cfg);
+    let solo1 = serve(&model, std::slice::from_ref(&h1), &cfg);
     assert_eq!(joint[0].raw_status, solo0[0].raw_status);
     assert_eq!(joint[1].raw_status, solo1[0].raw_status);
     assert_eq!(joint[0].detection_proba, solo0[0].detection_proba);

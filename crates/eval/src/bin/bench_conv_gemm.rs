@@ -178,7 +178,7 @@ fn main() {
     let cfg = scale.camal_config();
     let case = nilm_eval::runner::build_case_data(&nilm_eval::runner::smoke_cases()[0], &scale).1;
     set_conv_backend(ConvBackend::Gemm);
-    let mut model = CamalModel::train(&cfg, &case.train, &case.val, scale.threads);
+    let model = CamalModel::train(&cfg, &case.train, &case.val, scale.threads);
     let inference = measure(reps.max(5), || {
         let _ = model.localize_set(&case.test, BATCH);
     });

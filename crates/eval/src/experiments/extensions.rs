@@ -37,7 +37,7 @@ pub fn run_backbone(scale: &Scale) -> Table {
         for backbone in [Backbone::ResNet, Backbone::InceptionTime] {
             let mut cfg = scale.camal_config();
             cfg.backbone = backbone;
-            let mut model = CamalModel::train(&cfg, &data.train, &data.val, scale.threads);
+            let model = CamalModel::train(&cfg, &data.train, &data.val, scale.threads);
             let report = model.evaluate(&data.test, case_avg_power(case), 16);
             table.push_row(vec![
                 case.label(),
@@ -61,8 +61,7 @@ pub fn run_postprocess(scale: &Scale) -> Table {
     for case in &cases(scale) {
         let (ds, data) = build_case_data(case, scale);
         let step_s = ds.template.step_s;
-        let mut model =
-            CamalModel::train(&scale.camal_config(), &data.train, &data.val, scale.threads);
+        let model = CamalModel::train(&scale.camal_config(), &data.train, &data.val, scale.threads);
         let loc = model.localize_set(&data.test, 16);
         let avg_power = case_avg_power(case);
 

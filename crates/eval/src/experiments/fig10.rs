@@ -29,7 +29,7 @@ pub fn run(scale: &Scale) -> Table {
     // CamAL trained with possession labels (or per-subsequence weak labels
     // in the smoke preset, where the survey dataset is skipped for speed).
     let (_, strong_data) = build_case_data(&case, scale);
-    let mut camal = if survey_id == DatasetId::EdfEv {
+    let camal = if survey_id == DatasetId::EdfEv {
         camal::CamalModel::train(
             &scale.camal_config(),
             &strong_data.train,

@@ -119,7 +119,7 @@ pub fn run_ensemble_size(scale: &Scale) -> Table {
             let head: Vec<camal::EnsembleMember> = pool.drain(..n).collect();
             let mut sub_cfg = cfg.clone();
             sub_cfg.n_ensemble = n;
-            let mut model = CamalModel::from_members(sub_cfg, head);
+            let model = CamalModel::from_members(sub_cfg, head);
             let report = model.evaluate(&data.test, case_avg_power(case), 16);
             table.push_row(vec![
                 case.label(),

@@ -148,7 +148,7 @@ pub fn run_throughput(scale: &Scale) -> Table {
         let mut cfg = scale.camal_config();
         cfg.train.epochs = 1;
         let tiny = data.subsample(4, &mut StdRng::seed_from_u64(1));
-        let mut model = CamalModel::train(&cfg, &tiny, &tiny, scale.threads);
+        let model = CamalModel::train(&cfg, &tiny, &tiny, scale.threads);
         let start = Instant::now();
         let _ = model.localize_set(&data, 1);
         let camal_tp = data.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);

@@ -58,18 +58,18 @@ pub fn run(scale: &Scale, runs: usize) -> Table {
             // isolating the module's effect exactly as Table IV intends.
             let cfg = s.camal_config();
             let model = CamalModel::train(&cfg, &data.train, &data.val, s.threads);
-            let mut with_attention = model;
+            let with_attention = model;
             full.push(&with_attention.evaluate(&data.test, avg_power, 16));
             let mut cfg_no_attn = cfg.clone().without_attention();
             cfg_no_attn.n_ensemble = with_attention.ensemble_size();
-            let mut without = CamalModel::from_members(cfg_no_attn, with_attention.into_members());
+            let without = CamalModel::from_members(cfg_no_attn, with_attention.into_members());
             no_attention.push(&without.evaluate(&data.test, avg_power, 16));
 
             // w/o kernel diversity: retrain with k_p = 7 everywhere, same
             // candidate budget.
             let mut cfg_fixed = cfg.clone().fixed_kernel();
             cfg_fixed.trials = (cfg.kernels.len() * cfg.trials).max(1);
-            let mut fixed = CamalModel::train(&cfg_fixed, &data.train, &data.val, s.threads);
+            let fixed = CamalModel::train(&cfg_fixed, &data.train, &data.val, s.threads);
             fixed_kernel.push(&fixed.evaluate(&data.test, avg_power, 16));
         }
     }

@@ -290,7 +290,7 @@ pub fn train_gateway_zoo(scale: &Scale, args: &[String]) -> camal::CamalModel {
 ///
 /// This is what `camal_gateway chaos` and the CI chaos smoke stage run.
 pub fn gateway_chaos(scale: &Scale, args: &[String]) {
-    let mut trained = train_gateway_zoo(scale, args);
+    let trained = train_gateway_zoo(scale, args);
     let zoo = gateway_zoo_dir(args);
     let key = gateway_key();
 
@@ -324,7 +324,7 @@ pub fn gateway_chaos(scale: &Scale, args: &[String]) {
         appliance: Some(key.appliance),
         avg_power_w: tmpl.case(key.appliance).map(|c| c.avg_power_w).unwrap_or(1000.0),
     };
-    let timelines = serve(&mut trained, &households, &stream_cfg);
+    let timelines = serve(&trained, &households, &stream_cfg);
     let rows: Vec<HouseholdRow> = households
         .iter()
         .zip(&timelines)
@@ -416,7 +416,7 @@ pub fn gateway_chaos(scale: &Scale, args: &[String]) {
 /// the validated JSON report. This is what `camal_gateway demo`, `run_all`
 /// and CI run.
 pub fn gateway_demo(scale: &Scale, args: &[String]) {
-    let mut trained = train_gateway_zoo(scale, args);
+    let trained = train_gateway_zoo(scale, args);
     let zoo = gateway_zoo_dir(args);
     let key = gateway_key();
     let mut registry = ModelRegistry::unbounded();
@@ -451,7 +451,7 @@ pub fn gateway_demo(scale: &Scale, args: &[String]) {
         appliance: Some(key.appliance),
         avg_power_w: tmpl.case(key.appliance).map(|c| c.avg_power_w).unwrap_or(1000.0),
     };
-    let timelines = serve(&mut trained, &households, &stream_cfg);
+    let timelines = serve(&trained, &households, &stream_cfg);
     let rows: Vec<HouseholdRow> = households
         .iter()
         .zip(&timelines)

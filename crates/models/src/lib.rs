@@ -44,7 +44,9 @@ pub(crate) mod unet_util;
 
 pub use baselines::BaselineKind;
 pub use co::{CoDisaggregator, LibraryEntry};
-pub use detector::{build_from_spec, cam_from_features, Backbone, BackboneSpec, Detector};
+pub use detector::{
+    build_from_spec, cam_from_features, Backbone, BackboneSpec, Detector, DetectorOutput,
+};
 pub use inception::{InceptionConfig, InceptionTime};
 pub use resnet::{ResNet, ResNetConfig};
 pub use train::{

@@ -4,7 +4,7 @@
 //! head. The GAP→linear structure is what makes Class Activation Maps
 //! available (Definition II.1): `CAM_c(t) = Σ_k w^k_c · f^k(t)`.
 
-use crate::detector::{cam_from_features, Detector};
+use crate::detector::{cached_cam, Detector, DetectorOutput};
 use nilm_tensor::prelude::*;
 use rand::Rng;
 
@@ -67,8 +67,8 @@ pub struct ResNet {
     relus: Vec<ReLU>,
     gap: GlobalAvgPool1d,
     head: Linear,
-    /// Features cached by [`Self::forward_features`] for CAM extraction.
-    last_features: Option<Tensor>,
+    /// Output cached by [`Self::forward_features`] for CAM extraction.
+    last: Option<DetectorOutput>,
 }
 
 impl ResNet {
@@ -82,7 +82,7 @@ impl ResNet {
         ];
         let head = Linear::new(rng, c3, cfg.num_classes);
         let relus = (0..units.len()).map(|_| ReLU::default()).collect();
-        ResNet { cfg, units, relus, gap: GlobalAvgPool1d::default(), head, last_features: None }
+        ResNet { cfg, units, relus, gap: GlobalAvgPool1d::default(), head, last: None }
     }
 
     /// Configuration used to build this network.
@@ -92,6 +92,16 @@ impl ResNet {
 }
 
 impl Detector for ResNet {
+    fn infer_features(&self, x: &Tensor) -> DetectorOutput {
+        let mut cur: Option<Tensor> = None;
+        for (unit, relu) in self.units.iter().zip(&self.relus) {
+            cur = Some(relu.infer(&unit.infer(cur.as_ref().unwrap_or(x))));
+        }
+        let features = cur.expect("ResNet has at least one residual unit");
+        let logits = self.head.infer(&self.gap.infer(&features));
+        DetectorOutput { features, logits, rollout: None }
+    }
+
     fn forward_features(&mut self, x: &Tensor, mode: Mode) -> (Tensor, Tensor) {
         let mut cur: Option<Tensor> = None;
         for (unit, relu) in self.units.iter_mut().zip(&mut self.relus) {
@@ -101,14 +111,14 @@ impl Detector for ResNet {
         let features = cur.expect("ResNet has at least one residual unit");
         let pooled = self.gap.forward(&features, mode);
         let logits = self.head.forward(&pooled, mode);
-        self.last_features = Some(features.clone());
-        (features, logits)
+        let out = DetectorOutput { features, logits, rollout: None };
+        let pair = (out.features.clone(), out.logits.clone());
+        self.last = Some(out);
+        pair
     }
 
     fn cam(&self, class: usize) -> Tensor {
-        let features =
-            self.last_features.as_ref().expect("cam() requires a prior forward_features call");
-        cam_from_features(features, self.head.weight(), class)
+        cached_cam(&self.last, self.head.weight(), class)
     }
 
     fn head_weights(&self) -> &Tensor {
@@ -120,6 +130,10 @@ impl Layer for ResNet {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let (_, logits) = self.forward_features(x, mode);
         logits
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.infer_features(x).logits
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -207,7 +221,7 @@ mod tests {
     #[test]
     fn predict_proba_rows_sum_to_one() {
         let mut r = rng(3);
-        let mut net = ResNet::new(&mut r, tiny());
+        let net = ResNet::new(&mut r, tiny());
         let x = randn_tensor(&mut r, &[4, 1, 20], 1.0);
         let p = net.predict_proba(&x);
         for bi in 0..4 {

@@ -14,7 +14,7 @@
 //! same contract as [`Detector::cam`], so the attention-sigmoid module,
 //! duration priors, and §IV-C power estimation run unchanged downstream.
 
-use crate::detector::{cam_from_features, Detector};
+use crate::detector::{cached_cam, Detector, DetectorOutput};
 use crate::unet_util::{match_len, match_len_backward};
 use nilm_tensor::prelude::*;
 use rand::Rng;
@@ -64,12 +64,9 @@ pub struct TransApp {
     up: Upsample1d,
     gap: GlobalAvgPool1d,
     head: Linear,
-    input_len: usize,
     up_len: usize,
-    /// Decoder features `[b, d_model, t]` cached for [`Detector::cam`].
-    last_features: Option<Tensor>,
-    /// Attention-rollout map `[b, t]` cached alongside the features.
-    last_rollout: Option<Tensor>,
+    /// Decoder features and attention rollout cached for [`Detector::cam`].
+    last: Option<DetectorOutput>,
 }
 
 impl TransApp {
@@ -103,10 +100,8 @@ impl TransApp {
             up: Upsample1d::new(cfg.downsample.max(1), UpsampleMode::Linear),
             gap: GlobalAvgPool1d::default(),
             head: Linear::new(rng, cfg.d_model, 2),
-            input_len: 0,
             up_len: 0,
-            last_features: None,
-            last_rollout: None,
+            last: None,
         }
     }
 
@@ -115,9 +110,10 @@ impl TransApp {
         &self.cfg
     }
 
-    /// Composes the blocks' retained attention maps into the per-timestep
-    /// rollout map `[b, t]` (window length `t`, downsampled length `td`).
-    fn rollout(&self, b: usize, t: usize, td: usize) -> Tensor {
+    /// Composes the blocks' head-averaged attention maps (`maps[block]
+    /// [item]`, each `[td, td]`) into the per-timestep rollout map `[b, t]`
+    /// (window length `t`, downsampled length `td`).
+    fn rollout(&self, maps: &[&[Tensor]], b: usize, t: usize, td: usize) -> Tensor {
         let mut out = Tensor::zeros(&[b, t]);
         for bi in 0..b {
             // R starts as the identity; each block contributes (A + I)/2,
@@ -126,8 +122,8 @@ impl TransApp {
             for i in 0..td {
                 *r.at2_mut(i, i) = 1.0;
             }
-            for block in &self.blocks {
-                let a = &block.retained_attention()[bi];
+            for block_maps in maps {
+                let a = &block_maps[bi];
                 let mut mixed = Tensor::zeros(&[td, td]);
                 for i in 0..td {
                     for j in 0..td {
@@ -150,15 +146,39 @@ impl TransApp {
     }
 }
 
-impl Detector for TransApp {
-    fn forward_features(&mut self, x: &Tensor, mode: Mode) -> (Tensor, Tensor) {
-        let (b, _, t) = x.dims3();
+impl TransApp {
+    /// Panics on windows the downsampling would empty.
+    fn check_len(&self, t: usize) {
         assert!(
             t >= self.cfg.downsample.max(1),
             "window length {t} shorter than the downsample factor {}",
             self.cfg.downsample
         );
-        self.input_len = t;
+    }
+}
+
+impl Detector for TransApp {
+    fn infer_features(&self, x: &Tensor) -> DetectorOutput {
+        let (b, _, t) = x.dims3();
+        self.check_len(t);
+        let mut h = self.pe.infer(&self.embed.infer(x));
+        let mut maps = Vec::with_capacity(self.blocks.len());
+        for block in &self.blocks {
+            let (out, block_maps) = block.infer_with_attention(&h);
+            h = out;
+            maps.push(block_maps);
+        }
+        let td = h.dims3().2;
+        let features = match_len(&self.up.infer(&h), t);
+        let logits = self.head.infer(&self.gap.infer(&features));
+        let maps: Vec<&[Tensor]> = maps.iter().map(Vec::as_slice).collect();
+        let rollout = Some(self.rollout(&maps, b, t, td));
+        DetectorOutput { features, logits, rollout }
+    }
+
+    fn forward_features(&mut self, x: &Tensor, mode: Mode) -> (Tensor, Tensor) {
+        let (b, _, t) = x.dims3();
+        self.check_len(t);
         let mut h = self.embed.forward(x, mode);
         h = self.pe.forward(&h, mode);
         for block in &mut self.blocks {
@@ -170,19 +190,15 @@ impl Detector for TransApp {
         let features = match_len(&up, t);
         let pooled = self.gap.forward(&features, mode);
         let logits = self.head.forward(&pooled, mode);
-        self.last_rollout = Some(self.rollout(b, t, td));
-        self.last_features = Some(features.clone());
-        (features, logits)
+        let maps: Vec<&[Tensor]> = self.blocks.iter().map(|b| b.retained_attention()).collect();
+        let rollout = Some(self.rollout(&maps, b, t, td));
+        let pair = (features.clone(), logits.clone());
+        self.last = Some(DetectorOutput { features, logits, rollout });
+        pair
     }
 
     fn cam(&self, class: usize) -> Tensor {
-        let features =
-            self.last_features.as_ref().expect("cam() requires a prior forward_features call");
-        let rollout =
-            self.last_rollout.as_ref().expect("cam() requires a prior forward_features call");
-        let mut cam = cam_from_features(features, self.head.weight(), class);
-        cam.data_mut().iter_mut().zip(rollout.data()).for_each(|(c, &r)| *c *= r);
-        cam
+        cached_cam(&self.last, self.head.weight(), class)
     }
 
     fn head_weights(&self) -> &Tensor {
@@ -194,6 +210,10 @@ impl Layer for TransApp {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let (_, logits) = self.forward_features(x, mode);
         logits
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.infer_features(x).logits
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -284,9 +304,10 @@ mod tests {
         let x = randn_tensor(&mut r, &[1, 1, 32], 1.0);
         let _ = net.forward_features(&x, Mode::Eval);
         let cam = net.cam(1);
-        let rollout = net.last_rollout.as_ref().unwrap().clone();
+        let last = net.last.as_mut().unwrap();
+        let rollout = last.rollout.as_ref().unwrap();
         assert!(rollout.data().iter().all(|&v| v > 0.0), "rollout mass must be positive");
-        net.last_rollout = Some(Tensor::full(&[1, 32], 1.0));
+        last.rollout = Some(Tensor::full(&[1, 32], 1.0));
         let cam_flat = net.cam(1);
         assert_ne!(
             cam.data(),

@@ -13,7 +13,9 @@
 //! concurrent backlog), groups jobs by requested key set, and serves each
 //! group as **one** [`camal::fleet::serve_fleet`] pass with every job's
 //! households merged — so windows from different requests share GEMM
-//! batches. Because window scoring is row-independent (eval-mode
+//! batches. A pass may use every core: the fleet splits a large pass into
+//! household shards over one shared copy of each model
+//! ([`camal::fleet::SHARD_MIN_MACS`]). Because window scoring is row-independent (eval-mode
 //! BatchNorm, per-row GEMM tiles), coalescing never changes a response:
 //! each one is bit-identical to a direct [`camal::stream::serve`] call,
 //! which the concurrency tests pin.
@@ -32,8 +34,9 @@
 //! their connections `503` + `Retry-After` instead of hanging or
 //! `500`ing — and a fresh batcher generation is respawned with the
 //! registry rebuilt from the startup `RegistrySpec`: file-backed
-//! checkpoints re-register their paths, pinned models are restored from
-//! byte snapshots taken at warm time. The reactor arms a deadline per
+//! checkpoints re-register their paths, pinned models are re-inserted from
+//! the `Arc`s taken at warm time (inference never writes to a model, so a
+//! panic cannot have damaged them). The reactor arms a deadline per
 //! request ([`GatewayConfig::deadline`], overridable via the
 //! `X-Camal-Deadline-Ms` header), so even a wedged worker or batcher pass
 //! turns into a timely `503` + `Retry-After`. The reactor itself is
@@ -48,7 +51,7 @@ use crate::protocol::{error_body, localize_response, parse_localize, Detail, Hou
 use crate::queue::{JobQueue, PushError};
 use crate::reactor::ReplyHandle;
 use crate::sys::Waker;
-use camal::fleet::{serve_fleet, FleetConfig, FleetError};
+use camal::fleet::{available_threads, serve_fleet, FleetConfig, FleetError};
 use camal::registry::{ModelKey, ModelRegistry, QuarantinePolicy, RegistryError};
 use camal::stream::HouseholdSeries;
 use camal::CamalModel;
@@ -76,8 +79,8 @@ pub struct GatewayConfig {
     pub linger: Duration,
     /// Windows per GEMM batch inside a fleet pass.
     pub batch_windows: usize,
-    /// Maximum concurrent connection handler threads; connections beyond
-    /// it are answered `503` and closed immediately.
+    /// Maximum open connections the reactor holds; connections beyond it
+    /// are answered `503` and closed immediately.
     pub max_connections: usize,
     /// Socket read timeout; an idle keep-alive connection is closed after
     /// this long.
@@ -122,8 +125,8 @@ impl Default for GatewayConfig {
     }
 }
 
-/// What the serving side knows about one registered model, snapshotted at
-/// startup for lock-free request validation in handler threads.
+/// What the serving side knows about one registered model, captured at
+/// startup for lock-free request validation in the decode workers.
 #[derive(Clone, Debug)]
 pub struct ModelMeta {
     /// Sampling step of the model's dataset template.
@@ -177,9 +180,9 @@ impl Reply {
 enum RebuildEntry {
     /// File-backed checkpoint: re-register the path, reload lazily.
     File(PathBuf),
-    /// Pinned in-memory model: restore from a byte snapshot taken at warm
-    /// time (pinned models have no backing file to reload from).
-    Pinned(Vec<u8>),
+    /// Pinned in-memory model: re-insert the same shared model (pinned
+    /// models have no backing file to reload from).
+    Pinned(Arc<CamalModel>),
 }
 
 /// Everything needed to rebuild the batcher's [`ModelRegistry`] from
@@ -199,10 +202,9 @@ impl RegistrySpec {
         for row in registry.manifest() {
             let rebuild = match row.path {
                 Some(path) => RebuildEntry::File(path),
-                None => {
-                    let model = registry.get_mut(row.key).expect("pinned model is always resident");
-                    RebuildEntry::Pinned(model.to_bytes())
-                }
+                None => RebuildEntry::Pinned(Arc::clone(
+                    registry.get_mut(row.key).expect("pinned model is always resident"),
+                )),
             };
             entries.push((row.key, rebuild));
         }
@@ -214,20 +216,16 @@ impl RegistrySpec {
     }
 
     /// Builds a fresh registry from the recipe.
-    fn build(&self) -> Result<ModelRegistry, String> {
+    fn build(&self) -> ModelRegistry {
         let mut registry = ModelRegistry::new(self.max_loaded);
         registry.set_quarantine_policy(self.quarantine);
         for (key, entry) in &self.entries {
             match entry {
                 RebuildEntry::File(path) => registry.register_file(*key, path.clone()),
-                RebuildEntry::Pinned(bytes) => {
-                    let model = CamalModel::from_bytes(bytes)
-                        .map_err(|e| format!("cannot restore pinned model {key}: {e}"))?;
-                    registry.insert(*key, model);
-                }
+                RebuildEntry::Pinned(model) => registry.insert(*key, Arc::clone(model)),
             }
         }
-        Ok(registry)
+        registry
     }
 }
 
@@ -679,8 +677,8 @@ fn handle_localize(request: &Request, shared: &Arc<Shared>, reply: ReplyHandle) 
 /// the thread; a panic rolls the dead generation's registry counters into
 /// the metrics base, rebuilds the registry from the startup spec, and
 /// spawns the next generation. In-flight jobs of the dead generation are
-/// not replayed — their reply senders dropped during the unwind, so their
-/// handlers answer `503` + `Retry-After` immediately; jobs still sitting
+/// not replayed — their reply handles dropped during the unwind, so their
+/// connections are answered `503` + `Retry-After` immediately; jobs still sitting
 /// in the queue carry over untouched and the next generation serves them.
 fn supervise_batcher(shared: &Arc<Shared>, registry: ModelRegistry, spec: &RegistrySpec) {
     let mut registry = registry;
@@ -697,25 +695,13 @@ fn supervise_batcher(shared: &Arc<Shared>, registry: ModelRegistry, spec: &Regis
         // The panicked generation's counters are still valid (plain
         // integers); fold them into the base so /metrics stays monotonic.
         shared.metrics.roll_registry(registry.stats());
-        let mut delay = Duration::from_millis(10);
-        registry = loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                for job in shared.queue.close() {
-                    job.reply.send(Reply::unavailable("gateway is shutting down", 1));
-                }
-                return;
+        if shared.shutdown.load(Ordering::SeqCst) {
+            for job in shared.queue.close() {
+                job.reply.send(Reply::unavailable("gateway is shutting down", 1));
             }
-            match spec.build() {
-                Ok(r) => break r,
-                // A failed rebuild (snapshot bytes refuse to parse — should
-                // be impossible) retries with backoff rather than abandoning
-                // the queue; handlers stay bounded by their deadlines.
-                Err(_) => {
-                    std::thread::sleep(delay);
-                    delay = (delay * 2).min(Duration::from_secs(1));
-                }
-            }
-        };
+            return;
+        }
+        registry = spec.build();
     }
 }
 
@@ -771,7 +757,7 @@ fn serve_group(
         step_s: meta.step_s,
         max_ffill_s: 3 * meta.step_s,
         batch: shared.cfg.batch_windows,
-        threads: 1,
+        threads: available_threads(),
         apply_priors: shared.cfg.apply_priors,
     };
     let mut jobs = jobs;

@@ -15,6 +15,10 @@ impl Layer for ReLU {
         if mode.caches_for_backward() {
             self.mask.extend(x.data().iter().map(|&v| v > 0.0));
         }
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         x.map(|v| v.max(0.0))
     }
 
@@ -46,9 +50,13 @@ pub fn sigmoid(x: f32) -> f32 {
 
 impl Layer for Sigmoid {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let out = x.map(sigmoid);
+        let out = self.infer(x);
         self.out = if mode.caches_for_backward() { out.data().to_vec() } else { Vec::new() };
         out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        x.map(sigmoid)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -66,9 +74,13 @@ pub struct Tanh {
 
 impl Layer for Tanh {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let out = x.map(f32::tanh);
+        let out = self.infer(x);
         self.out = if mode.caches_for_backward() { out.data().to_vec() } else { Vec::new() };
         out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        x.map(f32::tanh)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -102,6 +114,10 @@ fn gelu_grad_scalar(x: f32) -> f32 {
 impl Layer for Gelu {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         self.input = if mode.caches_for_backward() { x.data().to_vec() } else { Vec::new() };
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         x.map(gelu_scalar)
     }
 

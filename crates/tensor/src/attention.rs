@@ -27,6 +27,10 @@ impl PositionalEncoding {
 
 impl Layer for PositionalEncoding {
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         let (b, d, _t) = x.dims3();
         let mut out = x.clone();
         for bi in 0..b {
@@ -156,15 +160,21 @@ impl MultiHeadSelfAttention {
     }
 }
 
-impl Layer for MultiHeadSelfAttention {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+impl MultiHeadSelfAttention {
+    /// Attends over every batch item, pushing the backward caches into
+    /// `caches` and the head-averaged `[t, t]` attention map of each item
+    /// into `maps` when they are given.
+    fn attend(
+        &self,
+        x: &Tensor,
+        mut caches: Option<&mut Vec<AttnCache>>,
+        mut maps: Option<&mut Vec<Tensor>>,
+    ) -> Tensor {
         let (b, d, t) = x.dims3();
         assert_eq!(d, self.d_model);
         let dh = d / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
         let mut out = Tensor::zeros(&[b, d, t]);
-        self.caches.clear();
-        self.retained.clear();
 
         for bi in 0..b {
             let xt = Self::to_time_major(x, bi); // [t, d]
@@ -185,18 +195,39 @@ impl Layer for MultiHeadSelfAttention {
             }
             let y = concat.matmul(&self.w_o.value.transpose2()); // [t, d]
             Self::from_time_major(&mut out, &y, bi);
-            if self.retain_attention {
+            if let Some(maps) = &mut maps {
                 let mut mean = Tensor::zeros(&[t, t]);
                 for attn in &attn_maps {
                     mean.add_assign(attn);
                 }
-                self.retained.push(mean.scale(1.0 / self.heads as f32));
+                maps.push(mean.scale(1.0 / self.heads as f32));
             }
-            if mode.caches_for_backward() {
-                self.caches.push(AttnCache { xt, q, k, v, attn: attn_maps, concat });
+            if let Some(caches) = &mut caches {
+                caches.push(AttnCache { xt, q, k, v, attn: attn_maps, concat });
             }
         }
         out
+    }
+}
+
+impl Layer for MultiHeadSelfAttention {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let mut caches = std::mem::take(&mut self.caches);
+        let mut retained = std::mem::take(&mut self.retained);
+        caches.clear();
+        retained.clear();
+        let out = self.attend(
+            x,
+            mode.caches_for_backward().then_some(&mut caches),
+            self.retain_attention.then_some(&mut retained),
+        );
+        self.caches = caches;
+        self.retained = retained;
+        out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.attend(x, None, None)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -289,6 +320,24 @@ impl TransformerEncoderLayer {
     pub fn retained_attention(&self) -> &[Tensor] {
         self.attn.retained_attention()
     }
+
+    /// Stateless inference through the block, returning the attention
+    /// sublayer's head-averaged `[t, t]` map of each batch item alongside
+    /// the output — what attention rollout needs, without
+    /// [`TransformerEncoderLayer::set_retain_attention`].
+    pub fn infer_with_attention(&self, x: &Tensor) -> (Tensor, Vec<Tensor>) {
+        let mut maps = Vec::with_capacity(x.dims3().0);
+        let out = self.encode(x, Some(&mut maps));
+        (out, maps)
+    }
+
+    /// The [`Layer::infer`] body, optionally collecting attention maps.
+    fn encode(&self, x: &Tensor, maps: Option<&mut Vec<Tensor>>) -> Tensor {
+        let a = self.attn.attend(x, None, maps);
+        let y = self.norm1.infer(&x.add(&a));
+        let f = self.ff2.infer(&self.gelu.infer(&self.ff1.infer(&y)));
+        self.norm2.infer(&y.add(&f))
+    }
 }
 
 impl Layer for TransformerEncoderLayer {
@@ -297,6 +346,10 @@ impl Layer for TransformerEncoderLayer {
         let y = self.norm1.forward(&x.add(&a), mode);
         let f = self.ff2.forward(&self.gelu.forward(&self.ff1.forward(&y, mode), mode), mode);
         self.norm2.forward(&y.add(&f), mode)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.encode(x, None)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -402,6 +455,14 @@ mod tests {
         let infer = enc.forward(&x, Mode::Infer);
         let bits = |t: &Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
         assert_eq!(bits(&eval), bits(&infer), "Infer diverged from Eval through the encoder");
+        assert_eq!(bits(&enc.infer(&x)), bits(&eval), "stateless infer diverged from Eval");
+        enc.set_retain_attention(true);
+        let _ = enc.forward(&x, Mode::Infer);
+        let (out, maps) = enc.infer_with_attention(&x);
+        assert_eq!(bits(&out), bits(&eval));
+        for (a, b) in maps.iter().zip(enc.retained_attention()) {
+            assert_eq!(bits(a), bits(b), "returned and retained attention maps differ");
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ use crate::simd;
 use crate::tensor::Tensor;
 use rand::Rng;
 use rayon::prelude::*;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Padding policy for [`Conv1d`].
@@ -143,6 +144,23 @@ fn plan_for(backend: Backend) -> Plan {
 /// GEMM group per worker thread instead of a single wide GEMM.
 const PAR_CONV_MACS: usize = 1 << 20;
 
+/// Reusable lowering scratch (column matrix or padded input, wide product,
+/// gradient column matrix, weight-gradient product): grown once per
+/// thread, then stable across calls. Per thread rather than per layer, so
+/// inference through `&self` needs no lock and a model shared by several
+/// threads never contends on its buffers.
+#[derive(Default)]
+struct Scratch {
+    col: Vec<f32>,
+    wide: Vec<f32>,
+    gcol: Vec<f32>,
+    dw: Vec<f32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
 /// A 1-D convolution layer with optional dilation and stride.
 pub struct Conv1d {
     in_c: usize,
@@ -155,12 +173,6 @@ pub struct Conv1d {
     weight: Param,
     bias: Option<Param>,
     cached_input: Option<Tensor>,
-    // Reused GEMM-path scratch (column matrix, wide product, gradient
-    // column matrix): grown once, then stable across calls.
-    buf_col: Vec<f32>,
-    buf_wide: Vec<f32>,
-    buf_gcol: Vec<f32>,
-    buf_dw: Vec<f32>,
 }
 
 impl Conv1d {
@@ -195,10 +207,6 @@ impl Conv1d {
             weight,
             bias,
             cached_input: None,
-            buf_col: Vec::new(),
-            buf_wide: Vec::new(),
-            buf_gcol: Vec::new(),
-            buf_dw: Vec::new(),
         }
     }
 
@@ -423,7 +431,7 @@ impl Conv1d {
 
     /// Contiguous batch ranges, one per worker when the work justifies it.
     fn batch_groups(b: usize, macs_per_item: usize) -> usize {
-        let threads = rayon::current_num_threads();
+        let threads = dispatch::kernel_threads();
         if threads > 1 && b > 1 && b * macs_per_item >= PAR_CONV_MACS {
             b.div_ceil(threads)
         } else {
@@ -477,63 +485,68 @@ impl Conv1d {
     /// straight into the batch-major output block. Same `(c_in, tap)`
     /// left-to-right accumulation chain as the lowered path, so results are
     /// bit-identical to [`Self::forward_gemm`] under `KernelMode::Simd`.
-    fn forward_simd_direct(&mut self, x: &Tensor, geo: &ConvGeometry, out: &mut Tensor) {
+    fn forward_simd_direct(&self, x: &Tensor, geo: &ConvGeometry, out: &mut Tensor) {
         let (b, _, _) = x.dims3();
         let (m, t, kdim, kw) = (geo.out_c, geo.t_out, geo.col_rows(), geo.k);
         // Long enough that every window `[tap, tap + t_out)` is in bounds
         // and the real samples land at `pad_left + [0, t_in)`.
         let pad_len = (t + kw - 1).max(geo.pad_left + geo.t_in);
         let item = geo.in_c * pad_len;
-        let xp = &mut self.buf_col;
-        xp.clear();
-        xp.resize(b * item, 0.0);
-        for bi in 0..b {
-            let xi = x.batch_slice(bi);
-            for ci in 0..geo.in_c {
-                let dst = bi * item + ci * pad_len + geo.pad_left;
-                xp[dst..dst + geo.t_in].copy_from_slice(&xi[ci * geo.t_in..(ci + 1) * geo.t_in]);
+        SCRATCH.with_borrow_mut(|scratch| {
+            let xp = &mut scratch.col;
+            xp.clear();
+            xp.resize(b * item, 0.0);
+            for bi in 0..b {
+                let xi = x.batch_slice(bi);
+                for ci in 0..geo.in_c {
+                    let dst = bi * item + ci * pad_len + geo.pad_left;
+                    xp[dst..dst + geo.t_in]
+                        .copy_from_slice(&xi[ci * geo.t_in..(ci + 1) * geo.t_in]);
+                }
             }
-        }
-        let xp = &self.buf_col;
-        let w = self.weight.value.data();
-        let run_item = |bi: usize, oblk: &mut [f32]| {
-            let base = bi * item;
-            let rows: Vec<&[f32]> = (0..kdim)
-                .map(|p| {
-                    let start = base + (p / kw) * pad_len + (p % kw);
-                    &xp[start..start + t]
-                })
-                .collect();
-            simd::skinny_gemm_rows(m, t, kdim, w, &rows, oblk, false);
-        };
-        if Self::batch_groups(b, m * t * kdim) >= b {
-            for (bi, oblk) in out.data_mut().chunks_mut(m * t).enumerate() {
-                run_item(bi, oblk);
+            let xp = &*xp;
+            let w = self.weight.value.data();
+            let run_item = |bi: usize, oblk: &mut [f32]| {
+                let base = bi * item;
+                let rows: Vec<&[f32]> = (0..kdim)
+                    .map(|p| {
+                        let start = base + (p / kw) * pad_len + (p % kw);
+                        &xp[start..start + t]
+                    })
+                    .collect();
+                simd::skinny_gemm_rows(m, t, kdim, w, &rows, oblk, false);
+            };
+            if Self::batch_groups(b, m * t * kdim) >= b {
+                for (bi, oblk) in out.data_mut().chunks_mut(m * t).enumerate() {
+                    run_item(bi, oblk);
+                }
+            } else {
+                out.data_mut().par_chunks_mut(m * t).enumerate().for_each(|(bi, oblk)| {
+                    run_item(bi, oblk);
+                });
             }
-        } else {
-            out.data_mut().par_chunks_mut(m * t).enumerate().for_each(|(bi, oblk)| {
-                run_item(bi, oblk);
-            });
-        }
+        });
     }
 
-    fn forward_gemm(&mut self, x: &Tensor, geo: &ConvGeometry, out: &mut Tensor, mode: KernelMode) {
+    fn forward_gemm(&self, x: &Tensor, geo: &ConvGeometry, out: &mut Tensor, mode: KernelMode) {
         let (b, _, _) = x.dims3();
         let w = self.weight.value.data();
         let (m, t, kdim) = (geo.out_c, geo.t_out, geo.col_rows());
         let group = Self::batch_groups(b, m * t * kdim);
         if group >= b {
-            // Single group: run in place with the layer's reusable scratch.
-            Self::forward_gemm_group(
-                w,
-                x,
-                geo,
-                0,
-                out.data_mut(),
-                &mut self.buf_col,
-                &mut self.buf_wide,
-                mode,
-            );
+            // Single group: run in place with the thread's reusable scratch.
+            SCRATCH.with_borrow_mut(|s| {
+                Self::forward_gemm_group(
+                    w,
+                    x,
+                    geo,
+                    0,
+                    out.data_mut(),
+                    &mut s.col,
+                    &mut s.wide,
+                    mode,
+                )
+            });
         } else {
             out.data_mut().par_chunks_mut(group * m * t).enumerate().for_each(|(gi, oblk)| {
                 let (mut col, mut prod) = (Vec::new(), Vec::new());
@@ -585,83 +598,95 @@ impl Conv1d {
         let kdim = geo.col_rows();
         let (out_c, t_out, in_c, t_in) = (geo.out_c, geo.t_out, geo.in_c, geo.t_in);
         let n_out = b * t_out;
+        SCRATCH.with_borrow_mut(|scratch| {
+            let Scratch { col: col_big, wide, gcol, dw } = scratch;
 
-        // dW = grad_big · col_bigᵀ over the whole batch at once: the inner
-        // dimension (batch, t) accumulates in exactly the naive path's
-        // continuous chain, and lands on the stored gradient in one add.
-        let col_big = &mut self.buf_col;
-        col_big.resize(kdim * n_out, 0.0);
-        let grad_big = &mut self.buf_wide;
-        grad_big.resize(out_c * n_out, 0.0);
-        for bi in 0..b {
-            im2col(geo, x.batch_slice(bi), col_big, n_out, bi * t_out);
-            for co in 0..out_c {
-                let dst = co * n_out + bi * t_out;
-                grad_big[dst..dst + t_out].copy_from_slice(grad.row(bi, co));
+            // dW = grad_big · col_bigᵀ over the whole batch at once: the
+            // inner dimension (batch, t) accumulates in exactly the naive
+            // path's continuous chain, and lands on the stored gradient in
+            // one add.
+            col_big.resize(kdim * n_out, 0.0);
+            let grad_big = &mut *wide;
+            grad_big.resize(out_c * n_out, 0.0);
+            for bi in 0..b {
+                im2col(geo, x.batch_slice(bi), col_big, n_out, bi * t_out);
+                for co in 0..out_c {
+                    let dst = co * n_out + bi * t_out;
+                    grad_big[dst..dst + t_out].copy_from_slice(grad.row(bi, co));
+                }
             }
-        }
-        let dw = &mut self.buf_dw;
-        dw.clear();
-        dw.resize(out_c * kdim, 0.0);
-        gemm_mode(
-            out_c,
-            kdim,
-            n_out,
-            grad_big,
-            Layout::Normal,
-            col_big,
-            Layout::Transposed,
-            dw,
-            false,
-            mode,
-        );
-        for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(self.buf_dw.iter()) {
-            *g += d;
-        }
-
-        // dX = Ŵ · grad2col(grad): the transposed convolution, again one
-        // wide GEMM per batch group. The permuted weight reuses the dW
-        // scratch (the dW product has already been folded into the stored
-        // gradient above).
-        let gk = geo.gcol_rows();
-        self.buf_dw.clear();
-        self.buf_dw.resize(in_c * gk, 0.0);
-        weight_for_input_grad(geo, self.weight.value.data(), &mut self.buf_dw);
-        let group = Self::batch_groups(b, in_c * t_in * gk);
-        if group >= b {
-            Self::backward_gemm_dx_group(
-                &self.buf_dw,
-                grad,
-                geo,
-                0,
-                dx.data_mut(),
-                &mut self.buf_gcol,
-                &mut self.buf_wide,
+            dw.clear();
+            dw.resize(out_c * kdim, 0.0);
+            gemm_mode(
+                out_c,
+                kdim,
+                n_out,
+                grad_big,
+                Layout::Normal,
+                col_big,
+                Layout::Transposed,
+                dw,
+                false,
                 mode,
             );
-        } else {
-            // Parallel groups need per-worker buffers; the allocations are
-            // amortized by the fan-out.
-            let wref = &self.buf_dw;
-            dx.data_mut().par_chunks_mut(group * in_c * t_in).enumerate().for_each(|(gi, dblk)| {
-                let (mut gcol, mut prod) = (Vec::new(), Vec::new());
-                Self::backward_gemm_dx_group(
-                    wref,
-                    grad,
-                    geo,
-                    gi * group,
-                    dblk,
-                    &mut gcol,
-                    &mut prod,
-                    mode,
+            for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(dw.iter()) {
+                *g += d;
+            }
+
+            // dX = Ŵ · grad2col(grad): the transposed convolution, again one
+            // wide GEMM per batch group. The permuted weight reuses the dW
+            // scratch (the dW product has already been folded into the
+            // stored gradient above).
+            let gk = geo.gcol_rows();
+            dw.clear();
+            dw.resize(in_c * gk, 0.0);
+            weight_for_input_grad(geo, self.weight.value.data(), dw);
+            let group = Self::batch_groups(b, in_c * t_in * gk);
+            if group >= b {
+                Self::backward_gemm_dx_group(dw, grad, geo, 0, dx.data_mut(), gcol, wide, mode);
+            } else {
+                // Parallel groups need per-worker buffers; the allocations
+                // are amortized by the fan-out.
+                let wref = &*dw;
+                dx.data_mut().par_chunks_mut(group * in_c * t_in).enumerate().for_each(
+                    |(gi, dblk)| {
+                        let (mut gcol, mut prod) = (Vec::new(), Vec::new());
+                        Self::backward_gemm_dx_group(
+                            wref,
+                            grad,
+                            geo,
+                            gi * group,
+                            dblk,
+                            &mut gcol,
+                            &mut prod,
+                            mode,
+                        );
+                    },
                 );
-            });
-        }
+            }
+        });
     }
 }
 
 impl Layer for Conv1d {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let out = self.infer(x);
+        if mode.caches_for_backward() {
+            // Cache the input for backward, reusing the previous cache's
+            // allocation.
+            let mut cache = self.cached_input.take().unwrap_or_else(|| Tensor::zeros(&[0]));
+            cache.resize(x.shape());
+            cache.data_mut().copy_from_slice(x.data());
+            self.cached_input = Some(cache);
+        } else {
+            // Inference: drop any stale cache so a later backward cannot
+            // silently differentiate against the wrong input.
+            self.cached_input = None;
+        }
+        out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         let (b, c_in, t_in) = x.dims3();
         assert_eq!(c_in, self.in_c, "Conv1d expected {} input channels, got {}", self.in_c, c_in);
         let geo = self.geometry(t_in);
@@ -714,18 +739,6 @@ impl Layer for Conv1d {
             }
         }
         self.add_bias(&mut out);
-        if mode.caches_for_backward() {
-            // Cache the input for backward, reusing the previous cache's
-            // allocation.
-            let mut cache = self.cached_input.take().unwrap_or_else(|| Tensor::zeros(&[0]));
-            cache.resize(x.shape());
-            cache.data_mut().copy_from_slice(x.data());
-            self.cached_input = Some(cache);
-        } else {
-            // Inference: drop any stale cache so a later backward cannot
-            // silently differentiate against the wrong input.
-            self.cached_input = None;
-        }
         out
     }
 

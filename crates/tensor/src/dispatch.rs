@@ -31,6 +31,7 @@
 //! SIMD backend is excluded from auto-selection and must be forced
 //! explicitly), so which candidate wins can never change computed values.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -130,6 +131,62 @@ pub fn forced_backend() -> Option<Backend> {
     env_backend()
 }
 
+thread_local! {
+    /// Set while the current thread runs inside [`with_serial_kernels`].
+    static SERIAL: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Worker threads a kernel may fan out over: the pool width
+/// (`rayon::current_num_threads()`, i.e. `RAYON_NUM_THREADS` or the core
+/// count), or 1 inside [`with_serial_kernels`]. The convolution batch
+/// split, the GEMM row-block split and [`ShapeKey`] all read this one
+/// value, so a kernel never fans out where its caller already did.
+pub fn kernel_threads() -> usize {
+    if SERIAL.with(Cell::get) {
+        1
+    } else {
+        rayon::current_num_threads()
+    }
+}
+
+/// Runs `f` with [`kernel_threads`] pinned to 1 on the calling thread: the
+/// caller has already split the work across the cores (a fleet pass runs
+/// one household shard per core), so a nested fan-out would only add
+/// thread spawns.
+pub fn with_serial_kernels<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SERIAL.with(|s| s.set(self.0));
+        }
+    }
+    let _restore = Restore(SERIAL.with(|s| s.replace(true)));
+    f()
+}
+
+/// Runs `job` on every item and returns the results in item order: one
+/// worker thread per item when there are several (the `rayon` fan-out),
+/// each under [`with_serial_kernels`] since the items already occupy the
+/// cores, and inline on the caller when there is one. Every worker carries
+/// a copy of the caller's trace context, so the spans recorded inside
+/// (stages, kernel children) land in the caller's traces.
+pub fn fan_out<I: Sync, T: Send>(items: &[I], job: impl Fn(&I) -> T + Sync) -> Vec<T> {
+    use rayon::prelude::*;
+    let trace_ctx = nilm_obs::trace::snapshot();
+    let several = items.len() > 1;
+    items
+        .par_chunks(1)
+        .map(|one| {
+            let _ctx = nilm_obs::trace::set_context(&trace_ctx);
+            if several {
+                with_serial_kernels(|| job(&one[0]))
+            } else {
+                job(&one[0])
+            }
+        })
+        .collect()
+}
+
 /// Identity of one tuned problem. `threads` is part of the key because the
 /// parallel fan-out changes which backend wins: a shape whose GEMM lowering
 /// amortizes across a multi-thread row-block split can lose to the naive
@@ -150,9 +207,9 @@ pub struct ShapeKey {
 }
 
 impl ShapeKey {
-    /// Key for `op` at `(m, n, k)` with the current worker-pool width.
+    /// Key for `op` at `(m, n, k)` with the current [`kernel_threads`].
     pub fn with_current_threads(op: &'static str, m: usize, n: usize, k: usize) -> Self {
-        ShapeKey { op, m, n, k, threads: rayon::current_num_threads() }
+        ShapeKey { op, m, n, k, threads: kernel_threads() }
     }
 }
 
@@ -322,6 +379,30 @@ mod tests {
         assert_eq!(cached_choice(one), Some(Backend::Naive));
         assert_eq!(cached_choice(four), Some(Backend::Simd));
         assert_ne!(one, four);
+    }
+
+    #[test]
+    fn serial_kernels_pin_the_width_to_one_and_restore_it() {
+        let outside = kernel_threads();
+        assert_eq!(outside, rayon::current_num_threads());
+        with_serial_kernels(|| {
+            assert_eq!(kernel_threads(), 1);
+            assert_eq!(ShapeKey::with_current_threads("t", 1, 1, 1).threads, 1);
+            with_serial_kernels(|| assert_eq!(kernel_threads(), 1));
+            assert_eq!(kernel_threads(), 1, "a nested scope must not end the outer one");
+        });
+        assert_eq!(kernel_threads(), outside);
+        let _ = std::panic::catch_unwind(|| with_serial_kernels(|| panic!("unwind")));
+        assert_eq!(kernel_threads(), outside, "an unwind must restore the width");
+    }
+
+    #[test]
+    fn fan_out_keeps_order_and_runs_several_jobs_with_serial_kernels() {
+        let width = rayon::current_num_threads();
+        assert_eq!(fan_out(&[7], |&i| (i, kernel_threads())), vec![(7, width)]);
+        let jobs = fan_out(&[0, 1, 2], |&i| (i, kernel_threads()));
+        assert_eq!(jobs, vec![(0, 1), (1, 1), (2, 1)]);
+        assert_eq!(kernel_threads(), width, "the caller keeps its width");
     }
 
     #[test]

@@ -48,6 +48,10 @@ impl Layer for Dropout {
         }
     }
 
+    fn infer(&self, x: &Tensor) -> Tensor {
+        x.clone()
+    }
+
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         if !self.train_pass {
             return grad.clone();

@@ -180,7 +180,7 @@ pub fn gemm_mode(
     accumulate: bool,
     mode: KernelMode,
 ) {
-    let parallel = m * n * k >= PAR_MACS && rayon::current_num_threads() > 1 && m > MC;
+    let parallel = m * n * k >= PAR_MACS && crate::dispatch::kernel_threads() > 1 && m > MC;
     gemm_with(m, n, k, a, a_layout, b, b_layout, c, accumulate, parallel, mode)
 }
 

@@ -24,9 +24,9 @@ pub enum Mode {
     /// every cache that exists only for a subsequent `backward` call (input
     /// copies, activation masks, normalized-input buffers). Calling
     /// `backward` after an `Infer` forward is a contract violation and
-    /// panics. This is the serving path's mode: the CamAL localization
-    /// pipeline never differentiates, and at skinny inference shapes the
-    /// cache traffic is comparable to the compute itself.
+    /// panics. A `forward` in this mode computes through the same code as
+    /// the stateless [`Layer::infer`]; the serving path calls `infer`
+    /// directly, so one copy of a model can serve every core at once.
     Infer,
 }
 
@@ -73,9 +73,24 @@ impl Param {
 /// returns the gradient with respect to that call's *input*. Parameter
 /// gradients are accumulated (`+=`), so callers must `zero_grad` between
 /// optimization steps.
-pub trait Layer: Send {
+///
+/// Layers are `Sync`: [`Layer::infer`] takes `&self`, so several threads
+/// may run inference through one shared layer at the same time.
+pub trait Layer: Send + Sync {
     /// Runs the layer on `x`, caching whatever the backward pass needs.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
+
+    /// Stateless inference: the [`Mode::Infer`] forward of `x`, bit for
+    /// bit, without touching the layer. Every layer a CAM detector is built
+    /// from implements it; the default panics, for the sequence baselines
+    /// that are only ever run through `forward`.
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let _ = x;
+        panic!(
+            "{} has no stateless inference path; run forward(.., Mode::Infer)",
+            std::any::type_name::<Self>()
+        )
+    }
 
     /// Propagates `grad` (d loss / d output) back to the input, accumulating
     /// parameter gradients along the way.
@@ -190,6 +205,18 @@ impl Layer for Sequential {
         cur
     }
 
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let mut layers = self.layers.iter();
+        let mut cur = match layers.next() {
+            Some(first) => first.infer(x),
+            None => x.clone(),
+        };
+        for layer in layers {
+            cur = layer.infer(&cur);
+        }
+        cur
+    }
+
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let mut layers = self.layers.iter_mut().rev();
         let mut cur = match layers.next() {
@@ -224,6 +251,10 @@ impl Layer for Identity {
         x.clone()
     }
 
+    fn infer(&self, x: &Tensor) -> Tensor {
+        x.clone()
+    }
+
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         grad.clone()
     }
@@ -255,6 +286,15 @@ impl Layer for Residual {
         let mut main = self.main.forward(x, mode);
         match &mut self.shortcut {
             Some(s) => main.add_assign(&s.forward(x, mode)),
+            None => main.add_assign(x),
+        }
+        main
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let mut main = self.main.infer(x);
+        match &self.shortcut {
+            Some(s) => main.add_assign(&s.infer(x)),
             None => main.add_assign(x),
         }
         main
@@ -316,6 +356,13 @@ mod tests {
         assert_eq!(y.data(), &[2.0, 4.0]);
         let g = res.backward(&Tensor::from_slice(&[1.0, 1.0]));
         assert_eq!(g.data(), &[2.0, 2.0]);
+    }
+
+    #[test]
+    fn containers_infer_like_an_infer_forward() {
+        let mut res = Residual::new(Sequential::new().push(ReLU::default()).push(Identity));
+        let x = Tensor::from_slice(&[-1.0, 2.0, 0.5]);
+        assert_eq!(res.infer(&x), res.forward(&x, Mode::Infer));
     }
 
     #[test]

@@ -56,6 +56,12 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        let out = self.infer(x);
+        self.cached_input = if mode.caches_for_backward() { Some(x.clone()) } else { None };
+        out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         let (b, f) = x.dims2();
         assert_eq!(f, self.in_f, "Linear expected {} features, got {f}", self.in_f);
         // y[b, o] = sum_i x[b, i] * w[o, i] + bias[o] — one GEMM against the
@@ -82,7 +88,6 @@ impl Layer for Linear {
                 }
             }
         }
-        self.cached_input = if mode.caches_for_backward() { Some(x.clone()) } else { None };
         out
     }
 
@@ -177,6 +182,11 @@ impl Layer for TimeDistributed {
         let rows = Self::to_rows(x);
         let y = self.inner.forward(&rows, mode);
         Self::from_rows(&y, b, t)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let (b, _, t) = x.dims3();
+        Self::from_rows(&self.inner.infer(&Self::to_rows(x)), b, t)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -70,38 +70,20 @@ impl Layer for BatchNorm1d {
         let (b, c, t) = x.dims3();
         assert_eq!(c, self.channels, "BatchNorm1d expected {} channels, got {c}", self.channels);
         let n = (b * t) as f32;
-        let mut out = Tensor::zeros(&[b, c, t]);
         self.last_mode = mode;
 
         if mode == Mode::Infer {
-            // Inference fast path: running statistics, one fused pass, and
-            // no normalized-input buffer (backward after an `Infer` forward
-            // is a contract violation and panics on the missing cache). The
-            // per-element operation order matches the eval path exactly —
-            // `g * ((v - mean) * inv_std) + be` — so the two modes stay
-            // bit-identical.
+            // Backward after an `Infer` forward is a contract violation and
+            // panics on the missing cache.
             self.xhat = None;
-            for ci in 0..c {
-                let mean = self.running_mean.data()[ci];
-                let var = self.running_var.data()[ci];
-                let inv_std = 1.0 / (var + self.eps).sqrt();
-                let g = self.gamma.value.data()[ci];
-                let be = self.beta.value.data()[ci];
-                for bi in 0..b {
-                    let xr = x.row(bi, ci);
-                    let or = out.row_mut(bi, ci);
-                    for (o, &v) in or.iter_mut().zip(xr) {
-                        *o = g * ((v - mean) * inv_std) + be;
-                    }
-                }
-            }
-            return out;
+            return self.infer(x);
         }
 
         // Reuse the previous call's cache allocation; contents are fully
         // overwritten below.
         let mut xhat = self.xhat.take().unwrap_or_else(|| Tensor::zeros(&[0]));
         xhat.resize(&[b, c, t]);
+        let mut out = Tensor::zeros(&[b, c, t]);
 
         for ci in 0..c {
             let (mean, var) = match mode {
@@ -137,6 +119,31 @@ impl Layer for BatchNorm1d {
             }
         }
         self.xhat = Some(xhat);
+        out
+    }
+
+    /// Running statistics in one fused pass, with no normalized-input
+    /// buffer. The per-element operation order matches the eval path
+    /// exactly — `g * ((v - mean) * inv_std) + be` — so the two stay
+    /// bit-identical.
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let (b, c, t) = x.dims3();
+        assert_eq!(c, self.channels, "BatchNorm1d expected {} channels, got {c}", self.channels);
+        let mut out = Tensor::zeros(&[b, c, t]);
+        for ci in 0..c {
+            let mean = self.running_mean.data()[ci];
+            let var = self.running_var.data()[ci];
+            let inv_std = 1.0 / (var + self.eps).sqrt();
+            let g = self.gamma.value.data()[ci];
+            let be = self.beta.value.data()[ci];
+            for bi in 0..b {
+                let xr = x.row(bi, ci);
+                let or = out.row_mut(bi, ci);
+                for (o, &v) in or.iter_mut().zip(xr) {
+                    *o = g * ((v - mean) * inv_std) + be;
+                }
+            }
+        }
         out
     }
 
@@ -243,19 +250,15 @@ impl LayerNorm {
     }
 }
 
-impl Layer for LayerNorm {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+impl LayerNorm {
+    /// Normalizes every `(batch, time)` position, recording the normalized
+    /// input and inverse standard deviations into `cache` when given. The
+    /// per-element arithmetic is the same with or without a cache, so
+    /// [`Layer::infer`] stays bit-identical to an `Eval` forward.
+    fn normalize(&self, x: &Tensor, mut cache: Option<(&mut Tensor, &mut [f32])>) -> Tensor {
         let (b, c, t) = x.dims3();
         assert_eq!(c, self.dim, "LayerNorm expected {} channels, got {c}", self.dim);
         let mut out = Tensor::zeros(&[b, c, t]);
-        // Under `Mode::Infer` the normalized-input buffer and inverse
-        // standard deviations exist only for backward, so they are skipped;
-        // the per-element arithmetic below is shared between the modes, so
-        // `Infer` stays bit-identical to `Eval`.
-        let caches = mode.caches_for_backward();
-        let mut xhat = caches.then(|| Tensor::zeros(&[b, c, t]));
-        self.inv_std = if caches { vec![0.0; b * t] } else { Vec::new() };
-
         for bi in 0..b {
             for ti in 0..t {
                 let mut sum = 0.0f32;
@@ -268,12 +271,12 @@ impl Layer for LayerNorm {
                 let mean = sum / c as f32;
                 let var = (sumsq / c as f32 - mean * mean).max(0.0);
                 let inv_std = 1.0 / (var + self.eps).sqrt();
-                if caches {
-                    self.inv_std[bi * t + ti] = inv_std;
+                if let Some((_, inv)) = &mut cache {
+                    inv[bi * t + ti] = inv_std;
                 }
                 for ci in 0..c {
                     let h = (x.at3(bi, ci, ti) - mean) * inv_std;
-                    if let Some(xh) = &mut xhat {
+                    if let Some((xh, _)) = &mut cache {
                         *xh.at3_mut(bi, ci, ti) = h;
                     }
                     *out.at3_mut(bi, ci, ti) =
@@ -281,8 +284,30 @@ impl Layer for LayerNorm {
                 }
             }
         }
-        self.xhat = xhat;
         out
+    }
+}
+
+impl Layer for LayerNorm {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        // Under `Mode::Infer` the normalized-input buffer and inverse
+        // standard deviations exist only for backward, so they are skipped.
+        if !mode.caches_for_backward() {
+            self.xhat = None;
+            self.inv_std = Vec::new();
+            return self.infer(x);
+        }
+        let (b, c, t) = x.dims3();
+        let mut xhat = Tensor::zeros(&[b, c, t]);
+        let mut inv_std = vec![0.0; b * t];
+        let out = self.normalize(x, Some((&mut xhat, &mut inv_std)));
+        self.xhat = Some(xhat);
+        self.inv_std = inv_std;
+        out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.normalize(x, None)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -25,14 +25,18 @@ impl MaxPool1d {
     }
 }
 
-impl Layer for MaxPool1d {
-    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+impl MaxPool1d {
+    /// Pools `x`, recording each output's source index into `argmax` when
+    /// given (the backward routing table).
+    fn pool(&self, x: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Tensor {
         let (b, c, t) = x.dims3();
         let to = self.out_len(t);
         assert!(to > 0, "MaxPool1d window {} longer than input {t}", self.k);
         let mut out = Tensor::zeros(&[b, c, to]);
-        self.argmax = vec![0; b * c * to];
-        self.in_shape = x.shape().to_vec();
+        if let Some(am) = &mut argmax {
+            am.clear();
+            am.resize(b * c * to, 0);
+        }
         for bi in 0..b {
             for ci in 0..c {
                 let xr = x.row(bi, ci);
@@ -48,11 +52,27 @@ impl Layer for MaxPool1d {
                         }
                     }
                     *o = best;
-                    self.argmax[(bi * c + ci) * to + toi] = start + best_i;
+                    if let Some(am) = &mut argmax {
+                        am[(bi * c + ci) * to + toi] = start + best_i;
+                    }
                 }
             }
         }
         out
+    }
+}
+
+impl Layer for MaxPool1d {
+    fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+        self.in_shape = x.shape().to_vec();
+        let mut argmax = std::mem::take(&mut self.argmax);
+        let out = self.pool(x, Some(&mut argmax));
+        self.argmax = argmax;
+        out
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.pool(x, None)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -91,10 +111,14 @@ impl AvgPool1d {
 
 impl Layer for AvgPool1d {
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
+        self.in_shape = x.shape().to_vec();
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
         let (b, c, t) = x.dims3();
         let to = self.out_len(t);
         assert!(to > 0, "AvgPool1d window {} longer than input {t}", self.k);
-        self.in_shape = x.shape().to_vec();
         let mut out = Tensor::zeros(&[b, c, to]);
         let inv = 1.0 / self.k as f32;
         for bi in 0..b {
@@ -141,8 +165,12 @@ pub struct GlobalAvgPool1d {
 
 impl Layer for GlobalAvgPool1d {
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let (b, c, t) = x.dims3();
         self.in_shape = x.shape().to_vec();
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let (b, c, t) = x.dims3();
         let mut out = Tensor::zeros(&[b, c]);
         let inv = 1.0 / t as f32;
         for bi in 0..b {
@@ -205,8 +233,12 @@ impl Upsample1d {
 
 impl Layer for Upsample1d {
     fn forward(&mut self, x: &Tensor, _mode: Mode) -> Tensor {
-        let (b, c, t) = x.dims3();
         self.in_shape = x.shape().to_vec();
+        self.infer(x)
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let (b, c, t) = x.dims3();
         let to = t * self.factor;
         let mut out = Tensor::zeros(&[b, c, to]);
         for bi in 0..b {

@@ -25,7 +25,7 @@ fn main() {
     cfg.kernels = vec![5, 15, 25]; // spread of receptive fields to compare
     cfg.n_ensemble = 3;
     cfg.train.epochs = 8;
-    let mut model = CamalModel::train(&cfg, &case.train, &case.val, 4);
+    let model = CamalModel::train(&cfg, &case.train, &case.val, 4);
     println!("ensemble backbones: {:?}\n", model.describe_members());
 
     let loc = model.localize_set(&case.test, 16);

@@ -42,7 +42,7 @@ fn main() {
 
     let mut cfg = CamalConfig::small();
     cfg.train.epochs = 8;
-    let mut model = CamalModel::train(&cfg, &case.train, &case.val, 4);
+    let model = CamalModel::train(&cfg, &case.train, &case.val, 4);
 
     let avg_power = ideal().case(ApplianceKind::Dishwasher).unwrap().avg_power_w;
     let report = model.evaluate(&case.test, avg_power, 16);

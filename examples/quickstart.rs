@@ -32,7 +32,7 @@ fn main() {
     // 3. Train the CamAL ensemble (Algorithm 1) — laptop-scale config.
     let mut cfg = CamalConfig::small();
     cfg.train.epochs = 8;
-    let mut model = CamalModel::train(&cfg, &case.train, &case.val, 4);
+    let model = CamalModel::train(&cfg, &case.train, &case.val, 4);
     println!(
         "trained ensemble of {} detectors ({:?}) in {:.1}s",
         model.ensemble_size(),

@@ -28,7 +28,7 @@ fn main() {
     // 1. CamAL on weak labels.
     let mut cfg = CamalConfig::small();
     cfg.train.epochs = 8;
-    let mut camal = CamalModel::train(&cfg, &case.train, &case.val, 4);
+    let camal = CamalModel::train(&cfg, &case.train, &case.val, 4);
     let soft = camal.soft_labels(&case.train, 16);
     let coverage = soft.iter().flatten().filter(|&&v| v > 0.0).count() as f64
         / (soft.len() * soft[0].len()) as f64;

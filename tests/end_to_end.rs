@@ -26,7 +26,7 @@ fn small_dataset(seed: u64) -> Dataset {
 fn camal_beats_trivial_baselines_on_simulated_refit() {
     let ds = small_dataset(99);
     let case = prepare_case(&ds, ApplianceKind::Kettle, 128, &SplitConfig::default());
-    let mut model = CamalModel::train(&fast_cfg(), &case.train, &case.val, 4);
+    let model = CamalModel::train(&fast_cfg(), &case.train, &case.val, 4);
     let report = model.evaluate(&case.test, 2000.0, 16);
 
     // Trivial baselines computed on the same test windows.
@@ -52,8 +52,8 @@ fn pipeline_is_deterministic_given_seeds() {
     let ds = small_dataset(5);
     let case = prepare_case(&ds, ApplianceKind::Kettle, 128, &SplitConfig::default());
     let cfg = fast_cfg();
-    let mut m1 = CamalModel::train(&cfg, &case.train, &case.val, 1);
-    let mut m2 = CamalModel::train(&cfg, &case.train, &case.val, 1);
+    let m1 = CamalModel::train(&cfg, &case.train, &case.val, 1);
+    let m2 = CamalModel::train(&cfg, &case.train, &case.val, 1);
     let r1 = m1.evaluate(&case.test, 2000.0, 16);
     let r2 = m2.evaluate(&case.test, 2000.0, 16);
     assert_eq!(r1.localization.f1, r2.localization.f1);
@@ -64,7 +64,7 @@ fn pipeline_is_deterministic_given_seeds() {
 fn power_estimates_never_exceed_aggregate() {
     let ds = small_dataset(17);
     let case = prepare_case(&ds, ApplianceKind::Dishwasher, 128, &SplitConfig::default());
-    let mut model = CamalModel::train(&fast_cfg(), &case.train, &case.val, 4);
+    let model = CamalModel::train(&fast_cfg(), &case.train, &case.val, 4);
     let loc = model.localize_set(&case.test, 16);
     for (i, w) in case.test.windows.iter().enumerate() {
         let est = camal::estimate_power(&loc.status[i], 800.0, &w.aggregate_w);
@@ -96,7 +96,7 @@ fn soft_label_round_trip_trains_a_baseline() {
 
     let ds = small_dataset(43);
     let case = prepare_case(&ds, ApplianceKind::Kettle, 128, &SplitConfig::default());
-    let mut camal_model = CamalModel::train(&fast_cfg(), &case.train, &case.val, 4);
+    let camal_model = CamalModel::train(&fast_cfg(), &case.train, &case.val, 4);
     let soft = camal_model.soft_labels(&case.train, 16);
     assert_eq!(soft.len(), case.train.len());
 
@@ -201,7 +201,7 @@ fn serving_surfaces_are_backend_invariant() {
     let tmpl = template(key.dataset);
     let avg = tmpl.case(key.appliance).map(|c| c.avg_power_w).unwrap_or(1000.0);
 
-    let mut stream_model = model(1);
+    let stream_model = model(1);
     let stream_cfg = StreamConfig {
         window: WINDOW,
         step_s: tmpl.step_s,
@@ -234,7 +234,7 @@ fn serving_surfaces_are_backend_invariant() {
     for &backend in &backends {
         set_forced_backend(Some(backend));
 
-        let timelines = serve(&mut stream_model, &households, &stream_cfg);
+        let timelines = serve(&stream_model, &households, &stream_cfg);
         let rows: Vec<HouseholdRow> = households
             .iter()
             .enumerate()
@@ -297,7 +297,7 @@ fn possession_only_training_works_end_to_end() {
     let case = prepare_possession_case(&ds, ApplianceKind::Shower, 64, &SplitConfig::default());
     assert!(case.train.positives() > 0, "need positive survey houses");
     assert!(case.train.positives() < case.train.len(), "need negative survey houses");
-    let mut model = CamalModel::train(&fast_cfg(), &case.train, &case.val, 4);
+    let model = CamalModel::train(&fast_cfg(), &case.train, &case.val, 4);
     let report = model.evaluate(&case.test, 8000.0, 16);
     assert!(report.localization.f1.is_finite());
     assert!(report.detection.balanced_accuracy >= 0.4);

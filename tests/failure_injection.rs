@@ -45,7 +45,7 @@ fn extreme_power_spikes_do_not_produce_nan() {
         }
     }
     let set = WindowSet::new(windows);
-    let mut model = CamalModel::train(&fast_cfg(), &set, &set, 2);
+    let model = CamalModel::train(&fast_cfg(), &set, &set, 2);
     let loc = model.localize_set(&set, 4);
     for (p, cam) in loc.detection_proba.iter().zip(&loc.cam) {
         assert!(p.is_finite());
@@ -90,7 +90,7 @@ fn single_class_training_detects_nothing_or_everything_but_stays_finite() {
     let set = WindowSet::new(windows);
     let mut cfg = fast_cfg();
     cfg.balance = false; // balancing would empty the set
-    let mut model = CamalModel::train(&cfg, &set, &set, 1);
+    let model = CamalModel::train(&cfg, &set, &set, 1);
     let loc = model.localize_set(&set, 4);
     assert!(loc.detection_proba.iter().all(|p| p.is_finite()));
 }
@@ -112,7 +112,7 @@ fn detection_threshold_extremes() {
     // Threshold 1.0: nothing can exceed it -> all OFF everywhere.
     let mut cfg = fast_cfg();
     cfg.detection_threshold = 1.0;
-    let mut model = CamalModel::train(&cfg, &set, &set, 2);
+    let model = CamalModel::train(&cfg, &set, &set, 2);
     let loc = model.localize_set(&set, 4);
     assert!(loc.detected.iter().all(|&d| !d));
     assert!(loc.status.iter().flatten().all(|&s| s == 0));
@@ -121,7 +121,7 @@ fn detection_threshold_extremes() {
     // timesteps by the CAM/attention rule.
     let mut cfg = fast_cfg();
     cfg.detection_threshold = -1.0;
-    let mut model = CamalModel::train(&cfg, &set, &set, 2);
+    let model = CamalModel::train(&cfg, &set, &set, 2);
     let loc = model.localize_set(&set, 4);
     assert!(loc.detected.iter().all(|&d| d));
 }
@@ -131,7 +131,7 @@ fn constant_window_input_is_handled() {
     // Standardization of a constant window must not divide by zero.
     let windows: Vec<Window> = (0..8).map(|i| window_with(vec![0.5; 64], (i % 2) as u8)).collect();
     let set = WindowSet::new(windows);
-    let mut model = CamalModel::train(&fast_cfg(), &set, &set, 2);
+    let model = CamalModel::train(&fast_cfg(), &set, &set, 2);
     let loc = model.localize_set(&set, 4);
     assert!(loc.status.iter().flatten().all(|&s| s == 0 || s == 1));
     assert!(loc.cam.iter().flatten().all(|v| v.is_finite()));
@@ -147,7 +147,7 @@ fn zero_learning_rate_changes_nothing() {
     let mut cfg = fast_cfg();
     cfg.train.lr = 0.0;
     // Training with lr = 0 must still produce a functional (untrained) model.
-    let mut model = CamalModel::train(&cfg, &set, &set, 1);
+    let model = CamalModel::train(&cfg, &set, &set, 1);
     let report = model.evaluate(&set, 1000.0, 4);
     assert!(report.localization.f1.is_finite());
 }
