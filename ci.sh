@@ -40,8 +40,11 @@ if [ "$MODE" != "quick" ]; then
 
     # Kernel-oracle sweep: the dispatch-layer property suite once per forced
     # backend, plus once with SIMD disabled to pin the portable-scalar
-    # fallback. Together with the unforced run above this oracle-checks every
-    # path a `NILM_BACKEND` override can select in production.
+    # fallback. Backend selection has one precedence: a per-layer override
+    # (`Conv1d::set_backend`), then the forced backend (`NILM_BACKEND` or
+    # `dispatch::set_forced_backend`), then the autotuner. Together with the
+    # unforced run above this oracle-checks every path that selector can
+    # pick in production.
     for BK in naive gemm simd; do
         step "kernel oracle sweep: NILM_BACKEND=$BK"
         NILM_BACKEND=$BK cargo test -q -p nilm_tensor --release \
@@ -69,13 +72,21 @@ if [ "$MODE" != "quick" ]; then
     step "cargo test -p camal --test checkpoint_compat --release (v2 fixture compat)"
     cargo test -q -p camal --test checkpoint_compat --release
 
-    # Thread-count sweep: the shard-invariance, deterministic-fault and
-    # gateway byte-identity claims must hold on one core (shards run
-    # serially), on two truly parallel ones, and oversubscribed at four.
+    # Thread-count sweep: the shard-invariance, ensemble-selection,
+    # deterministic-fault and gateway byte-identity claims must hold on one
+    # core (shards run serially), on two truly parallel ones, and
+    # oversubscribed at four.
     for T in 1 2 4; do
-        step "thread sweep RAYON_NUM_THREADS=$T: fleet_serving, chaos_core, gateway_concurrency, chaos"
+        step "thread sweep RAYON_NUM_THREADS=$T: fleet_serving, chaos_core, ensemble, gateway_concurrency, chaos"
         RAYON_NUM_THREADS=$T cargo test -q -p camal --release --test fleet_serving --test chaos_core
+        RAYON_NUM_THREADS=$T cargo test -q -p camal --release --lib ensemble::
         RAYON_NUM_THREADS=$T cargo test -q -p nilm_serve --release --test gateway_concurrency --test chaos
+    done
+    # Decode-worker sweep: gateway byte-identity with one worker and with two
+    # decoding concurrently off the reactor.
+    for W in 1 2; do
+        step "reactor worker sweep NILM_REACTOR_WORKERS=$W: gateway_concurrency"
+        NILM_REACTOR_WORKERS=$W cargo test -q -p nilm_serve --release --test gateway_concurrency
     done
 
     # Gateway bit-identity + HTTP abuse tests under the optimized build —

@@ -21,7 +21,7 @@ use camal::fleet::{serve_fleet, FleetConfig};
 use camal::registry::{ModelKey, ModelRegistry};
 use camal::stream::HouseholdSeries;
 use nilm_data::prelude::*;
-use nilm_eval::json::{validate, JsonValue};
+use nilm_json::{validate, JsonValue};
 use nilm_serve::protocol::{localize_request, Detail};
 use nilm_serve::{
     run_loadgen, run_loadgen_with, Gateway, GatewayConfig, LoadgenOptions, LoadgenReport,

@@ -8,6 +8,10 @@
 //! the results to `BENCH_conv_gemm.json` so later PRs have a trajectory to
 //! regress against.
 //!
+//! Each column forces its backend process-wide with
+//! [`dispatch::set_forced_backend`] (Auto forces none), so the forcing
+//! covers the linear and attention GEMMs as well as the convolutions.
+//!
 //! ```text
 //! cargo run --release -p nilm_eval --bin bench_conv_gemm            # paper-width ResNet
 //! cargo run --release -p nilm_eval --bin bench_conv_gemm -- --smoke # CI-sized, seconds
@@ -19,16 +23,15 @@
 //! the measured thread count), so a future regression is attributable to a
 //! specific layer shape rather than a mystery aggregate.
 //!
-//! The emitted file is re-read and checked with [`nilm_eval::json`] before
+//! The emitted file is re-read and checked with [`nilm_json`] before
 //! the process exits, so a malformed artifact fails loudly (CI runs the
 //! smoke mode for exactly this guarantee).
 
 use camal::CamalModel;
-use nilm_eval::json::{validate, JsonValue};
 use nilm_eval::runner::Scale;
+use nilm_json::{validate, JsonValue};
 use nilm_models::resnet::{ResNet, ResNetConfig};
-use nilm_tensor::conv::{set_conv_backend, ConvBackend};
-use nilm_tensor::dispatch;
+use nilm_tensor::dispatch::{self, Backend};
 use nilm_tensor::init::{randn_tensor, rng};
 use nilm_tensor::layer::{Layer, Mode};
 use nilm_tensor::loss::cross_entropy;
@@ -74,9 +77,10 @@ impl Timings {
     }
 }
 
-/// Median wall-clock milliseconds of `reps` runs of `f` under `backend`.
-fn time_backend(backend: ConvBackend, reps: usize, mut f: impl FnMut()) -> f64 {
-    set_conv_backend(backend);
+/// Median wall-clock milliseconds of `reps` runs of `f` under `backend`
+/// (`None` = autotuned).
+fn time_backend(backend: Option<Backend>, reps: usize, mut f: impl FnMut()) -> f64 {
+    dispatch::set_forced_backend(backend);
     f(); // warm-up: page in buffers, settle caches (and, for Auto, tune)
     let mut samples: Vec<f64> = (0..reps.max(1))
         .map(|_| {
@@ -90,11 +94,10 @@ fn time_backend(backend: ConvBackend, reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn measure(reps: usize, mut f: impl FnMut()) -> Timings {
-    let naive_ms = time_backend(ConvBackend::Naive, reps, &mut f);
-    let gemm_ms = time_backend(ConvBackend::Gemm, reps, &mut f);
-    let simd_ms = time_backend(ConvBackend::Simd, reps, &mut f);
-    let auto_ms = time_backend(ConvBackend::Auto, reps, &mut f);
-    set_conv_backend(ConvBackend::Auto);
+    let naive_ms = time_backend(Some(Backend::Naive), reps, &mut f);
+    let gemm_ms = time_backend(Some(Backend::Gemm), reps, &mut f);
+    let simd_ms = time_backend(Some(Backend::Simd), reps, &mut f);
+    let auto_ms = time_backend(None, reps, &mut f);
     Timings { naive_ms, gemm_ms, simd_ms, auto_ms }
 }
 
@@ -177,7 +180,7 @@ fn main() {
     // --- full CamAL inference and one ensemble-training epoch -----------
     let cfg = scale.camal_config();
     let case = nilm_eval::runner::build_case_data(&nilm_eval::runner::smoke_cases()[0], &scale).1;
-    set_conv_backend(ConvBackend::Gemm);
+    dispatch::set_forced_backend(Some(Backend::Gemm));
     let model = CamalModel::train(&cfg, &case.train, &case.val, scale.threads);
     let inference = measure(reps.max(5), || {
         let _ = model.localize_set(&case.test, BATCH);

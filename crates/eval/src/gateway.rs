@@ -10,13 +10,13 @@
 //! direct [`camal::stream::serve`] run, and concurrent loadgen beating the
 //! same workload issued sequentially).
 
-use crate::json::JsonValue;
 use crate::runner::Scale;
 use crate::serving::{self, arg_usize, arg_value, SERVE_APPLIANCE};
 use camal::registry::{ModelKey, ModelRegistry};
 use camal::stream::{serve, HouseholdSeries, StreamConfig};
 use nilm_data::series::TimeSeries;
 use nilm_data::templates::{template, DatasetId};
+use nilm_json::JsonValue;
 use nilm_serve::http::read_response;
 use nilm_serve::protocol::{localize_request, localize_response, Detail, HouseholdRow};
 use nilm_serve::{
@@ -468,8 +468,8 @@ pub fn gateway_demo(scale: &Scale, args: &[String]) {
     // Gate 2 — concurrency + micro-batching pays. Baseline: the same
     // workload issued as sequential single requests — one request at a
     // time, each on its own connection, the shape a naive integration (one
-    // curl per household) produces, paying TCP setup and a handler-thread
-    // spawn per request with zero batcher coalescing. Against it: the
+    // curl per household) produces, paying TCP setup and a fresh reactor
+    // connection per request with zero batcher coalescing. Against it: the
     // same total workload over `--connections` concurrent keep-alive
     // connections, which the batcher coalesces into shared fleet passes.
     // A keep-alive sequential run is also measured and reported so the

@@ -45,7 +45,6 @@ pub mod complexity;
 pub mod cost;
 pub mod experiments;
 pub mod gateway;
-pub mod json;
 pub mod output;
 pub mod runner;
 pub mod serving;

@@ -5,7 +5,7 @@
 //! fleet path (train a per-appliance zoo → registry → shared-pass scheduler)
 //! live here as library functions so the "run everything" driver can invoke
 //! them in-process instead of shelling out to sibling binaries. Every demo
-//! emits a [`crate::json`]-validated JSON report under the results
+//! emits a [`nilm_json`]-validated JSON report under the results
 //! directory.
 
 use camal::fleet::{serve_fleet, FleetConfig, FleetResult};
@@ -22,8 +22,8 @@ use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use crate::json::JsonValue;
 use crate::runner::{build_case_data, case_avg_power, Case, Scale};
+use nilm_json::JsonValue;
 
 /// Appliance of the single-appliance `camal_serve` demo.
 pub const SERVE_APPLIANCE: ApplianceKind = ApplianceKind::Kettle;
@@ -76,7 +76,7 @@ pub fn write_summary(doc: &JsonValue, args: &[String], name: &str) {
     std::fs::create_dir_all(&dir).expect("create results directory");
     let path = dir.join(format!("{name}.json"));
     let text = doc.to_pretty();
-    crate::json::validate(&text).expect("emitted summary must be valid JSON");
+    nilm_json::validate(&text).expect("emitted summary must be valid JSON");
     std::fs::write(&path, &text).expect("write summary");
     println!("wrote {} (validated)", path.display());
 }

@@ -10,8 +10,8 @@
 //!
 //! `keep_alive = false` opens a **fresh connection per request** — the
 //! "sequential single requests" shape a naive integration (one curl per
-//! household) issues, paying TCP setup and a gateway handler-thread spawn
-//! every time. That is the baseline the demo's throughput gate compares
+//! household) issues, paying TCP setup and the reactor's accept and
+//! registration of a new connection every time. That is the baseline the demo's throughput gate compares
 //! against; `keep_alive = true` is the production client shape.
 
 use crate::http::{read_response, HttpError};

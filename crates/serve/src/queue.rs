@@ -1,10 +1,10 @@
-//! The bounded job queue between connection handlers and the batcher.
+//! The bounded job queue between the gateway's decode workers and the batcher.
 //!
-//! Handlers [`push`](JobQueue::push) accepted localize jobs; the batcher
+//! Workers [`push`](JobQueue::push) accepted localize jobs; the batcher
 //! [`pop_wait`](JobQueue::pop_wait)s for the first job of a pass and then
 //! [`drain`](JobQueue::drain)s whatever else queued up meanwhile — that
 //! backlog is exactly what gets coalesced into one shared fleet pass. A
-//! full queue rejects the push (the handler answers `503`), which bounds
+//! full queue rejects the push (the worker answers `503`), which bounds
 //! both memory and tail latency under overload.
 
 use std::collections::VecDeque;

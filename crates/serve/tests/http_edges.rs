@@ -203,12 +203,12 @@ fn connection_flood_is_shed_with_503_not_unbounded_threads() {
     let gateway = Gateway::start(registry, cfg).expect("gateway starts");
     let addr = gateway.addr().to_string();
 
-    // Two idle connections occupy both handler slots...
+    // Two idle connections occupy both connection slots...
     let _held_a = connect(&addr);
     let _held_b = connect(&addr);
     std::thread::sleep(Duration::from_millis(50));
-    // ...so the third is answered 503 and closed instead of spawning a
-    // third handler thread.
+    // ...so the third is answered 503 and closed instead of being
+    // registered with the reactor.
     let shed = connect(&addr);
     let mut reader = BufReader::new(&shed);
     let r = read_response(&mut reader).expect("shed connection still gets a response");

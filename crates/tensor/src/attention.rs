@@ -448,6 +448,7 @@ mod tests {
         // The attention path (MHSA, LayerNorm, GELU, TimeDistributed) must
         // treat `Infer` as a pure cache-skipping knob: every output bit
         // matches an `Eval` forward of the same input.
+        let _unforced = crate::dispatch::lock_forced_backend();
         let mut r = rng(4);
         let mut enc = TransformerEncoderLayer::new(&mut r, 8, 2, 16);
         let x = randn_tensor(&mut r, &[2, 8, 6], 1.0);

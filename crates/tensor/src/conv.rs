@@ -26,15 +26,14 @@
 //! (see [`crate::simd::simd_exact`]; Naive vs Gemm is exact on every
 //! build).
 //!
-//! [`ConvBackend::Auto`] (the default) resolves per shape through the
-//! [`crate::dispatch`] autotuner: the first call on a given
+//! Backend selection, strongest first: the per-layer override
+//! ([`Conv1d::set_backend`]), then the process-wide forced backend
+//! ([`crate::dispatch::set_forced_backend`] or `NILM_BACKEND=naive|gemm|simd`),
+//! then the [`crate::dispatch`] autotuner: the first call on a given
 //! `(out_c, batch·t_out, in_c·k, threads)` key races the candidate backends
-//! on the real workload and caches the winner for the process lifetime.
-//! Only bit-identical candidates are raced, so autotuning never perturbs
-//! results. `NILM_BACKEND=naive|gemm|simd` (or
-//! [`crate::dispatch::set_forced_backend`]) forces one backend everywhere;
-//! the longer-standing `NILM_CONV_BACKEND` does the same for convolutions
-//! only and takes precedence.
+//! on the real workload and caches the winner for the process lifetime
+//! (shapes too small to be worth a race run naive). Only bit-identical
+//! candidates are raced, so autotuning never perturbs results.
 
 use crate::dispatch::{self, Backend, ShapeKey};
 use crate::gemm::{fmadd, gemm_mode, gemm_seq_mode, kernel_mode_for, KernelMode, Layout};
@@ -46,7 +45,6 @@ use crate::tensor::Tensor;
 use rand::Rng;
 use rayon::prelude::*;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Padding policy for [`Conv1d`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,85 +58,11 @@ pub enum Padding {
     Explicit(usize),
 }
 
-/// Which convolution implementation [`Conv1d`] dispatches to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConvBackend {
-    /// Pick per shape via the cached autotuner (naive for tiny shapes).
-    Auto,
-    /// Always the shifted-axpy reference path.
-    Naive,
-    /// Always im2col + GEMM with the portable scalar microkernel.
-    Gemm,
-    /// Always im2col + GEMM with the explicit SIMD microkernels (falls back
-    /// to the scalar microkernel where the ISA is missing).
-    Simd,
-}
-
-/// Process-wide backend default, overridable per layer with
-/// [`Conv1d::set_backend`]. Initialized from `NILM_CONV_BACKEND`
-/// (`auto|naive|gemm|simd`) on first use.
-static GLOBAL_BACKEND: AtomicU8 = AtomicU8::new(u8::MAX);
-
-fn encode(b: ConvBackend) -> u8 {
-    match b {
-        ConvBackend::Auto => 0,
-        ConvBackend::Naive => 1,
-        ConvBackend::Gemm => 2,
-        ConvBackend::Simd => 3,
-    }
-}
-
-fn decode(v: u8) -> ConvBackend {
-    match v {
-        1 => ConvBackend::Naive,
-        2 => ConvBackend::Gemm,
-        3 => ConvBackend::Simd,
-        _ => ConvBackend::Auto,
-    }
-}
-
-/// Sets the process-wide default convolution backend.
-pub fn set_conv_backend(backend: ConvBackend) {
-    GLOBAL_BACKEND.store(encode(backend), Ordering::Relaxed);
-}
-
-/// The process-wide default convolution backend (`NILM_CONV_BACKEND` env
-/// override, else [`ConvBackend::Auto`]).
-pub fn conv_backend() -> ConvBackend {
-    let v = GLOBAL_BACKEND.load(Ordering::Relaxed);
-    if v != u8::MAX {
-        return decode(v);
-    }
-    let from_env = match std::env::var("NILM_CONV_BACKEND").ok().as_deref() {
-        Some("naive") => ConvBackend::Naive,
-        Some("gemm") => ConvBackend::Gemm,
-        Some("simd") => ConvBackend::Simd,
-        _ => ConvBackend::Auto,
-    };
-    GLOBAL_BACKEND.store(encode(from_env), Ordering::Relaxed);
-    from_env
-}
-
-/// Minimum total multiply-accumulate count (whole batch) before `Auto`
-/// bothers autotuning; below this the shifted-axpy path wins outright and
-/// even the one-time tuning race would outweigh any possible gain.
+/// Minimum total multiply-accumulate count (whole batch) before an
+/// unpinned layer bothers autotuning; below this the shifted-axpy path wins
+/// outright and even the one-time tuning race would outweigh any possible
+/// gain.
 const GEMM_MIN_MACS: usize = 4096;
-
-/// How a resolved backend executes: the reference loop, or the lowered GEMM
-/// path with one of the two inner-kernel flavors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Plan {
-    Naive,
-    Gemm(KernelMode),
-}
-
-fn plan_for(backend: Backend) -> Plan {
-    match backend {
-        Backend::Naive => Plan::Naive,
-        Backend::Gemm => Plan::Gemm(KernelMode::Scalar),
-        Backend::Simd => Plan::Gemm(kernel_mode_for(Some(Backend::Simd))),
-    }
-}
 
 /// Total multiply-accumulate count above which the batch splits into one
 /// GEMM group per worker thread instead of a single wide GEMM.
@@ -169,7 +93,7 @@ pub struct Conv1d {
     stride: usize,
     dilation: usize,
     padding: Padding,
-    backend: Option<ConvBackend>,
+    backend: Option<Backend>,
     weight: Param,
     bias: Option<Param>,
     cached_input: Option<Tensor>,
@@ -210,8 +134,10 @@ impl Conv1d {
         }
     }
 
-    /// Overrides the backend for this layer (`None` = process default).
-    pub fn set_backend(&mut self, backend: Option<ConvBackend>) {
+    /// Overrides the backend for this layer. `None` follows the forced
+    /// backend ([`dispatch::forced_backend`]) and, when nothing is forced,
+    /// the autotuner.
+    pub fn set_backend(&mut self, backend: Option<Backend>) {
         self.backend = backend;
     }
 
@@ -276,27 +202,16 @@ impl Conv1d {
         }
     }
 
-    /// The backend this layer dispatches to, before `Auto` resolution:
-    /// per-layer override, then the conv-specific global
-    /// (`set_conv_backend` / `NILM_CONV_BACKEND`), then the cross-op forced
-    /// backend (`set_forced_backend` / `NILM_BACKEND`), else `Auto`.
-    fn resolved_backend(&self) -> ConvBackend {
-        if let Some(b) = self.backend {
-            return b;
-        }
-        let global = conv_backend();
-        if global != ConvBackend::Auto {
-            return global;
-        }
-        match dispatch::forced_backend() {
-            Some(Backend::Naive) => ConvBackend::Naive,
-            Some(Backend::Gemm) => ConvBackend::Gemm,
-            Some(Backend::Simd) => ConvBackend::Simd,
-            None => ConvBackend::Auto,
-        }
+    /// The backend this call runs without a tuning race: the per-layer
+    /// override, then the forced backend, then naive for shapes too small to
+    /// tune. `None` means autotune.
+    fn fixed_backend(&self, geo: &ConvGeometry, batch: usize) -> Option<Backend> {
+        self.backend
+            .or_else(dispatch::forced_backend)
+            .or_else(|| (!Self::auto_tunes(geo, batch)).then_some(Backend::Naive))
     }
 
-    /// Whether an `Auto` dispatch at this geometry is worth autotuning at
+    /// Whether an unpinned dispatch at this geometry is worth autotuning at
     /// all (tiny shapes go straight to the naive path).
     fn auto_tunes(geo: &ConvGeometry, batch: usize) -> bool {
         batch * geo.out_c * geo.col_rows() * geo.t_out >= GEMM_MIN_MACS
@@ -328,6 +243,18 @@ impl Conv1d {
                     out.row_mut(bi, co).iter_mut().for_each(|o| *o += v);
                 }
             }
+        }
+    }
+
+    /// The forward pass under `backend`, into a zeroed `out` (the naive
+    /// path accumulates onto it; the lowered paths overwrite it).
+    fn forward_with(&self, backend: Backend, x: &Tensor, geo: &ConvGeometry, out: &mut Tensor) {
+        match (backend, kernel_mode_for(Some(backend))) {
+            (Backend::Naive, _) => self.forward_naive(x, geo, out),
+            (_, KernelMode::Simd) if Self::direct_simd_eligible(geo) => {
+                self.forward_simd_direct(x, geo, out)
+            }
+            (_, mode) => self.forward_gemm(x, geo, out, mode),
         }
     }
 
@@ -691,50 +618,20 @@ impl Layer for Conv1d {
         assert_eq!(c_in, self.in_c, "Conv1d expected {} input channels, got {}", self.in_c, c_in);
         let geo = self.geometry(t_in);
         let mut out = Tensor::zeros(&[b, self.out_c, geo.t_out]);
-        // Every resolved arm runs under `dispatch::observe`, which feeds
-        // the cumulative per-(op, shape, backend) kernel table and, inside
-        // a traced request, records the "kernel" child span. The Auto arm
-        // gets the same treatment inside `dispatch::autotune`.
-        match self.resolved_backend() {
-            ConvBackend::Naive => {
-                dispatch::observe(Self::forward_key(&geo, b), Backend::Naive, || {
-                    self.forward_naive(x, &geo, &mut out)
-                })
+        // A fixed backend runs under `dispatch::observe`, which feeds the
+        // cumulative per-(op, shape, backend) kernel table and, inside a
+        // traced request, records the "kernel" child span;
+        // `dispatch::autotune` does the same for the race's winner.
+        let key = Self::forward_key(&geo, b);
+        match self.fixed_backend(&geo, b) {
+            Some(backend) => {
+                dispatch::observe(key, backend, || self.forward_with(backend, x, &geo, &mut out))
             }
-            ConvBackend::Gemm => {
-                dispatch::observe(Self::forward_key(&geo, b), Backend::Gemm, || {
-                    self.forward_gemm(x, &geo, &mut out, KernelMode::Scalar)
-                })
-            }
-            ConvBackend::Simd => {
-                let kmode = kernel_mode_for(Some(Backend::Simd));
-                dispatch::observe(Self::forward_key(&geo, b), Backend::Simd, || {
-                    if kmode == KernelMode::Simd && Self::direct_simd_eligible(&geo) {
-                        self.forward_simd_direct(x, &geo, &mut out)
-                    } else {
-                        self.forward_gemm(x, &geo, &mut out, kmode)
-                    }
-                })
-            }
-            ConvBackend::Auto if !Self::auto_tunes(&geo, b) => {
-                dispatch::observe(Self::forward_key(&geo, b), Backend::Naive, || {
-                    self.forward_naive(x, &geo, &mut out)
-                })
-            }
-            ConvBackend::Auto => {
-                let key = Self::forward_key(&geo, b);
-                let candidates = Self::auto_candidates();
-                dispatch::autotune(key, &candidates, |backend| {
-                    // The naive path accumulates into a zeroed output, so
-                    // tuning re-runs must re-zero between candidates.
+            None => {
+                dispatch::autotune(key, &Self::auto_candidates(), |backend| {
+                    // Tuning re-runs must re-zero between candidates.
                     out.data_mut().iter_mut().for_each(|v| *v = 0.0);
-                    match plan_for(backend) {
-                        Plan::Naive => self.forward_naive(x, &geo, &mut out),
-                        Plan::Gemm(KernelMode::Simd) if Self::direct_simd_eligible(&geo) => {
-                            self.forward_simd_direct(x, &geo, &mut out)
-                        }
-                        Plan::Gemm(mode) => self.forward_gemm(x, &geo, &mut out, mode),
-                    }
+                    self.forward_with(backend, x, &geo, &mut out)
                 });
             }
         }
@@ -761,24 +658,20 @@ impl Layer for Conv1d {
             }
         }
 
-        let plan = match self.resolved_backend() {
-            ConvBackend::Naive => Plan::Naive,
-            ConvBackend::Gemm => Plan::Gemm(KernelMode::Scalar),
-            ConvBackend::Simd => Plan::Gemm(kernel_mode_for(Some(Backend::Simd))),
-            ConvBackend::Auto if !Self::auto_tunes(&geo, b) => Plan::Naive,
-            ConvBackend::Auto => {
-                // Reuse the forward pass's tuned winner: backward shares its
-                // arithmetic-intensity profile, and re-racing here would
-                // double-accumulate the parameter gradients.
-                match dispatch::cached_choice(Self::forward_key(&geo, b)) {
-                    Some(winner) => plan_for(winner),
-                    None => Plan::Gemm(kernel_mode_for(None)),
+        let backend = self.fixed_backend(&geo, b).unwrap_or_else(|| {
+            // Reuse the forward pass's tuned winner: backward shares its
+            // arithmetic-intensity profile, and re-racing here would
+            // double-accumulate the parameter gradients.
+            dispatch::cached_choice(Self::forward_key(&geo, b)).unwrap_or_else(|| {
+                match kernel_mode_for(None) {
+                    KernelMode::Simd => Backend::Simd,
+                    KernelMode::Scalar => Backend::Gemm,
                 }
-            }
-        };
-        match plan {
-            Plan::Naive => self.backward_naive(&x, grad, &geo, &mut dx),
-            Plan::Gemm(mode) => self.backward_gemm(&x, grad, &geo, &mut dx, mode),
+            })
+        });
+        match backend {
+            Backend::Naive => self.backward_naive(&x, grad, &geo, &mut dx),
+            _ => self.backward_gemm(&x, grad, &geo, &mut dx, kernel_mode_for(Some(backend))),
         }
         self.cached_input = Some(x);
         dx
@@ -918,14 +811,14 @@ mod tests {
         let x = init::randn_tensor(&mut r, &[2, 3, 40], 1.0);
         let g = init::randn_tensor(&mut r, &[2, 5, 40], 1.0);
 
-        conv.set_backend(Some(ConvBackend::Naive));
+        conv.set_backend(Some(Backend::Naive));
         let y_n = conv.forward(&x, Mode::Train);
         conv.zero_grad();
         let dx_n = conv.backward(&g);
         let mut grads_n = Vec::new();
         conv.visit_params(&mut |p| grads_n.push(p.grad.clone()));
 
-        conv.set_backend(Some(ConvBackend::Gemm));
+        conv.set_backend(Some(Backend::Gemm));
         let y_g = conv.forward(&x, Mode::Train);
         conv.zero_grad();
         let dx_g = conv.backward(&g);
@@ -952,14 +845,44 @@ mod tests {
     fn auto_dispatch_output_matches_forced_naive_bitwise() {
         // Whatever the autotuner picks, the result must equal the oracle
         // bit for bit (only bit-identical candidates are raced).
+        let _unforced = dispatch::lock_forced_backend();
+        if dispatch::env_backend().is_some() {
+            return; // `NILM_BACKEND` pins every unpinned layer: no tuning
+        }
         let mut r = rng(21);
         let mut conv = Conv1d::new(&mut r, 4, 8, 5, Padding::Same);
         let x = init::randn_tensor(&mut r, &[3, 4, 64], 1.0);
-        conv.set_backend(Some(ConvBackend::Auto));
+        conv.set_backend(None);
         let y_auto = conv.forward(&x, Mode::Eval);
-        conv.set_backend(Some(ConvBackend::Naive));
+        let key = Conv1d::forward_key(&conv.geometry(64), 3);
+        assert!(dispatch::cached_choice(key).is_some(), "the unpinned layer never autotuned");
+        conv.set_backend(Some(Backend::Naive));
         let y_naive = conv.forward(&x, Mode::Eval);
         assert_eq!(y_auto.data(), y_naive.data());
+    }
+
+    #[test]
+    fn forced_backend_reaches_convs_and_a_layer_override_beats_it() {
+        let _forced = dispatch::lock_forced_backend();
+        let mut r = rng(31);
+        // A shape no other test runs, so only this test's calls land on its
+        // kernel-table rows.
+        let mut conv = Conv1d::new(&mut r, 3, 7, 3, Padding::Same);
+        let x = init::randn_tensor(&mut r, &[2, 3, 50], 1.0);
+        let calls = |backend: Backend| -> u64 {
+            nilm_obs::kernel::stats()
+                .into_iter()
+                .filter(|(k, _)| k.op == "conv_fwd" && (k.m, k.n, k.k) == (7, 2 * 50, 3 * 3))
+                .filter(|(k, _)| k.backend == backend.as_str())
+                .map(|(_, stat)| stat.calls)
+                .sum()
+        };
+        dispatch::set_forced_backend(Some(Backend::Gemm));
+        let _ = conv.infer(&x);
+        assert_eq!((calls(Backend::Gemm), calls(Backend::Naive)), (1, 0));
+        conv.set_backend(Some(Backend::Naive));
+        let _ = conv.infer(&x);
+        assert_eq!((calls(Backend::Gemm), calls(Backend::Naive)), (1, 1));
     }
 
     #[test]
@@ -972,14 +895,14 @@ mod tests {
         let x = init::randn_tensor(&mut r, &[2, 3, 40], 1.0);
         let g = init::randn_tensor(&mut r, &[2, 5, 40], 1.0);
 
-        conv.set_backend(Some(ConvBackend::Naive));
+        conv.set_backend(Some(Backend::Naive));
         let y_n = conv.forward(&x, Mode::Train);
         conv.zero_grad();
         let dx_n = conv.backward(&g);
         let mut grads_n = Vec::new();
         conv.visit_params(&mut |p| grads_n.push(p.grad.clone()));
 
-        conv.set_backend(Some(ConvBackend::Simd));
+        conv.set_backend(Some(Backend::Simd));
         let y_s = conv.forward(&x, Mode::Train);
         conv.zero_grad();
         let dx_s = conv.backward(&g);

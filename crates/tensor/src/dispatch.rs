@@ -14,16 +14,20 @@
 //!   to the portable kernel on machines without the required ISA (see
 //!   [`crate::simd::simd_available`]).
 //!
-//! Selection, from strongest to weakest:
+//! One selector picks the backend, from strongest to weakest:
 //!
 //! 1. a per-layer override ([`crate::conv::Conv1d::set_backend`]);
-//! 2. a process-wide forced backend — [`set_forced_backend`] from code, or
+//! 2. the process-wide forced backend — [`set_forced_backend`] from code, or
 //!    the `NILM_BACKEND` environment variable (`naive|gemm|simd`, anything
-//!    else = auto) read once at first use;
+//!    else = auto) read once at first use. It reaches every convolution
+//!    without an override and every GEMM (linear and attention layers);
 //! 3. the **autotuner**: per shape key (operation, `m`, `n`, `k`, *and
 //!    worker-thread count* — single-core picks different winners than a
 //!    parallel fan-out), the first call races every candidate backend on the
 //!    real workload and caches the winner for the life of the process.
+//!    Convolutions tune; a plain GEMM with nothing forced runs the SIMD
+//!    kernels when they are available and exact, the portable ones otherwise
+//!    ([`crate::gemm::kernel_mode_for`]).
 //!
 //! The autotuner only ever races candidates that produce **bit-identical**
 //! results (callers must guarantee this; when FMA contraction makes the SIMD
@@ -129,6 +133,23 @@ pub fn forced_backend() -> Option<Backend> {
         return decode(v);
     }
     env_backend()
+}
+
+/// Serializes the unit tests that set the forced backend or rely on its
+/// absence. The guard clears the forced backend before it releases the lock,
+/// also when the test panics, so a poisoned lock guards nothing stale.
+#[cfg(test)]
+pub(crate) fn lock_forced_backend() -> impl Drop {
+    struct Unforce {
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
+    impl Drop for Unforce {
+        fn drop(&mut self) {
+            set_forced_backend(None);
+        }
+    }
+    static LOCK: Mutex<()> = Mutex::new(());
+    Unforce { _lock: LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) }
 }
 
 thread_local! {
@@ -358,8 +379,7 @@ mod tests {
 
     #[test]
     fn forced_backend_set_and_clear() {
-        // Serialize against other tests touching the global through a lock
-        // on the cache (cheap way to share one mutex).
+        let _forced = lock_forced_backend();
         set_forced_backend(Some(Backend::Naive));
         assert_eq!(forced_backend(), Some(Backend::Naive));
         set_forced_backend(Some(Backend::Simd));

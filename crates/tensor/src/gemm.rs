@@ -506,6 +506,7 @@ mod tests {
 
     #[test]
     fn matches_reference_across_shapes() {
+        let _unforced = crate::dispatch::lock_forced_backend();
         for &(m, n, k) in &[
             (1, 1, 1),
             (3, 5, 7),
@@ -539,6 +540,7 @@ mod tests {
 
     #[test]
     fn transposed_layouts_match_normal() {
+        let _unforced = crate::dispatch::lock_forced_backend();
         let (m, n, k) = (7, 11, 13);
         let a = fill(m * k, 6);
         let b = fill(k * n, 7);

@@ -21,7 +21,7 @@
 //! for near-zero outputs where cancellation makes ULP distance meaningless.
 //! [`ulp_budget`] picks the applicable budget for the current build.
 
-use crate::conv::{Conv1d, ConvBackend, Padding};
+use crate::conv::{Conv1d, Padding};
 use crate::dispatch::Backend;
 use crate::gemm::{fmadd, gemm_seq_mode, kernel_mode_for, Layout};
 use crate::init::{randn_tensor, rng};
@@ -271,7 +271,7 @@ pub struct ConvSpec {
 
 impl ConvSpec {
     /// Runs forward + backward under `backend`, returning all outputs.
-    pub fn run(&self, backend: ConvBackend) -> ConvOutputs {
+    pub fn run(&self, backend: Backend) -> ConvOutputs {
         let mut r = rng(self.seed);
         let mut conv = Conv1d::with_options(
             &mut r,
@@ -295,10 +295,10 @@ impl ConvSpec {
         ConvOutputs { y, dx, grads }
     }
 
-    /// Asserts `backend` reproduces [`ConvBackend::Naive`] within `budget`
+    /// Asserts `backend` reproduces [`Backend::Naive`] within `budget`
     /// ULP on the forward output and every gradient.
-    pub fn check(&self, backend: ConvBackend, budget: u64) {
-        let want = self.run(ConvBackend::Naive);
+    pub fn check(&self, backend: Backend, budget: u64) {
+        let want = self.run(Backend::Naive);
         let got = self.run(backend);
         let label = format!(
             "conv[{backend:?}] in={} out={} k={} s={} d={} pad={:?} b={} t={} bias={} seed={}",
@@ -380,7 +380,7 @@ mod tests {
             bias: true,
             seed: 12,
         };
-        spec.check(ConvBackend::Gemm, ULP_BUDGET_EXACT);
+        spec.check(Backend::Gemm, ULP_BUDGET_EXACT);
     }
 
     #[test]

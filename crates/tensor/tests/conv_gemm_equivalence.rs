@@ -15,7 +15,8 @@
 //! paths) it too must match bit for bit; otherwise it is held to the oracle's
 //! ULP budget (see `nilm_tensor::oracle`).
 
-use nilm_tensor::conv::{Conv1d, ConvBackend, Padding};
+use nilm_tensor::conv::{Conv1d, Padding};
+use nilm_tensor::dispatch::Backend;
 use nilm_tensor::init::{randn_tensor, rng};
 use nilm_tensor::layer::{Layer, Mode};
 use nilm_tensor::oracle::{assert_within, ulp_budget};
@@ -26,7 +27,7 @@ use proptest::prelude::*;
 /// `(output, input_grad, param_grads)`.
 fn run_pass(
     conv: &mut Conv1d,
-    backend: ConvBackend,
+    backend: Backend,
     x: &Tensor,
     upstream: &Tensor,
 ) -> (Tensor, Tensor, Vec<Tensor>) {
@@ -50,8 +51,8 @@ fn taps_fully_outside_the_input_are_zero_not_a_panic() {
     let x = randn_tensor(&mut r, &[1, 1, 2], 1.0);
     let t_out = conv.out_len(2);
     let g = randn_tensor(&mut r, &[1, 1, t_out], 1.0);
-    let (y_n, dx_n, g_n) = run_pass(&mut conv, ConvBackend::Naive, &x, &g);
-    let (y_g, dx_g, g_g) = run_pass(&mut conv, ConvBackend::Gemm, &x, &g);
+    let (y_n, dx_n, g_n) = run_pass(&mut conv, Backend::Naive, &x, &g);
+    let (y_g, dx_g, g_g) = run_pass(&mut conv, Backend::Gemm, &x, &g);
     assert_eq!(y_n.data(), y_g.data());
     assert_eq!(dx_n.data(), dx_g.data());
     for (a, b) in g_n.iter().zip(&g_g) {
@@ -94,8 +95,8 @@ proptest! {
         let t_out = conv.out_len(t_in);
         let upstream = randn_tensor(&mut r, &[batch, out_c, t_out], 1.0);
 
-        let (y_n, dx_n, g_n) = run_pass(&mut conv, ConvBackend::Naive, &x, &upstream);
-        let (y_g, dx_g, g_g) = run_pass(&mut conv, ConvBackend::Gemm, &x, &upstream);
+        let (y_n, dx_n, g_n) = run_pass(&mut conv, Backend::Naive, &x, &upstream);
+        let (y_g, dx_g, g_g) = run_pass(&mut conv, Backend::Gemm, &x, &upstream);
 
         prop_assert_eq!(y_n.shape(), y_g.shape());
         prop_assert!(
@@ -116,7 +117,7 @@ proptest! {
 
         // The SIMD consumer of the same lowering: bit-exact when the build
         // fuses scalar multiply-adds too, within the ULP budget otherwise.
-        let (y_s, dx_s, g_s) = run_pass(&mut conv, ConvBackend::Simd, &x, &upstream);
+        let (y_s, dx_s, g_s) = run_pass(&mut conv, Backend::Simd, &x, &upstream);
         let budget = ulp_budget();
         let label = format!("simd k={k} s={stride} d={dilation} pad={padding:?} t={t_in}");
         assert_within(&format!("{label} forward"), y_s.data(), y_n.data(), budget);
@@ -143,7 +144,7 @@ proptest! {
         let g1 = randn_tensor(&mut r, &[2, 3, t_out], 1.0);
         let g2 = randn_tensor(&mut r, &[2, 3, t_out], 1.0);
 
-        let mut accumulate = |backend: ConvBackend| -> Vec<Tensor> {
+        let mut accumulate = |backend: Backend| -> Vec<Tensor> {
             conv.set_backend(Some(backend));
             conv.zero_grad();
             let _ = conv.forward(&x1, Mode::Train);
@@ -154,8 +155,8 @@ proptest! {
             conv.visit_params(&mut |p| grads.push(p.grad.clone()));
             grads
         };
-        let gn = accumulate(ConvBackend::Naive);
-        let gg = accumulate(ConvBackend::Gemm);
+        let gn = accumulate(Backend::Naive);
+        let gg = accumulate(Backend::Gemm);
         for (a, b) in gn.iter().zip(&gg) {
             prop_assert!(a.data() == b.data(), "accumulated grads diverged (k={k}, pad={padding:?})");
         }

@@ -9,7 +9,7 @@
 //! portable-scalar fallback, so every dispatch path is oracle-checked on
 //! every build. Without the variable, one run covers all backends.
 
-use nilm_tensor::conv::{ConvBackend, Padding};
+use nilm_tensor::conv::Padding;
 use nilm_tensor::dispatch::{env_backend, Backend};
 use nilm_tensor::gemm::Layout;
 use nilm_tensor::oracle::{ulp_budget, ConvSpec, GemmSpec, ULP_BUDGET_EXACT};
@@ -31,14 +31,6 @@ fn budget_for(backend: Backend) -> u64 {
     match backend {
         Backend::Simd => ulp_budget(),
         _ => ULP_BUDGET_EXACT,
-    }
-}
-
-fn conv_backend(b: Backend) -> ConvBackend {
-    match b {
-        Backend::Naive => ConvBackend::Naive,
-        Backend::Gemm => ConvBackend::Gemm,
-        Backend::Simd => ConvBackend::Simd,
     }
 }
 
@@ -103,7 +95,7 @@ proptest! {
             seed,
         };
         for backend in backends_under_test() {
-            spec.check(conv_backend(backend), budget_for(backend));
+            spec.check(backend, budget_for(backend));
         }
     }
 }
@@ -198,7 +190,7 @@ fn resnet_conv_geometries_are_oracle_checked() {
             seed: (in_c * 100 + out_c * 10 + k) as u64,
         };
         for backend in backends_under_test() {
-            spec.check(conv_backend(backend), budget_for(backend));
+            spec.check(backend, budget_for(backend));
         }
     }
 }
