@@ -57,16 +57,6 @@ if [ "$MODE" != "quick" ]; then
     step "perf harness smoke run (validates BENCH_conv_gemm.json)"
     cargo run --release -p nilm_eval --bin bench_conv_gemm -- --smoke --out target/ci-bench
 
-    # The serving demos train mixed ResNet + TransApp ensembles
-    # (`Scale::mixed_camal_config`), so these smoke runs double as the
-    # heterogeneous-backbone zoo gate: checkpoint v3 save/load, registry
-    # manifest metadata and fleet/gateway serving over mixed members.
-    step "camal_serve smoke run (mixed-backbone train -> save -> load -> serve, JSON validated)"
-    cargo run --release -p nilm_eval --bin camal_serve -- demo --smoke --out target/ci-serve
-
-    step "camal_fleet smoke run (mixed-backbone zoo train-all -> registry reload -> fleet serve, JSON validated)"
-    cargo run --release -p nilm_eval --bin camal_fleet -- demo --smoke --out target/ci-fleet
-
     # Checkpoint compatibility: the committed v2 fixture must keep loading
     # (and serving bit-identically) through the v3 reader.
     step "cargo test -p camal --test checkpoint_compat --release (v2 fixture compat)"
@@ -98,6 +88,9 @@ if [ "$MODE" != "quick" ]; then
     GW_DIR=target/ci-gateway
     rm -rf "$GW_DIR" && mkdir -p "$GW_DIR"
     ./target/release/camal_gateway train --smoke --zoo "$GW_DIR/zoo" --out "$GW_DIR"
+    # One in-process fleet pass over the zoo with at most one model
+    # resident, so the registry's lazy load + LRU eviction path runs too.
+    ./target/release/camal_gateway fleet --smoke --zoo "$GW_DIR/zoo" --max-loaded 1 --out "$GW_DIR"
     # Serve on an ephemeral port; the whole server is bounded by `timeout`
     # so a wedged gateway cannot hang CI. --addr-file publishes the port.
     # --queue 1024: the reactor load stage below holds 128 x 4 = 512
@@ -115,26 +108,44 @@ if [ "$MODE" != "quick" ]; then
     echo "gateway at $GW_ADDR"
     curl -sfS "http://$GW_ADDR/healthz" -o "$GW_DIR/healthz.json"
     grep -q '"status":"ok"' "$GW_DIR/healthz.json"
-    # One real localize round-trip: two windows of synthetic kettle data.
+    # `train` writes the three-key demo zoo; the gateway must serve all of it.
+    curl -sfS "http://$GW_ADDR/v1/models" -o "$GW_DIR/models.json"
+    python3 - "$GW_DIR" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1] + "/models.json"))
+keys = {m["key"] for m in doc["models"]}
+zoo = {"refit:kettle", "refit:microwave", "ukdale:dishwasher"}
+assert zoo <= keys, f"gateway serves {sorted(keys)}, missing {sorted(zoo - keys)}"
+print("models ok:", sorted(keys))
+PY
+    # One real localize round-trip: two windows of synthetic kettle data
+    # (request.json, reused by the trace gate below), then one request
+    # naming two zoo appliances, which must get a result for each.
     python3 - "$GW_DIR" <<'PY'
 import json, sys
 values = [150 + (1900 if (t // 9) % 4 == 0 else 0) for t in range(256)]
 body = {"appliances": ["refit:kettle"], "detail": "summary",
         "households": [{"id": "ci-house", "step_s": 60, "values": values}]}
 open(sys.argv[1] + "/request.json", "w").write(json.dumps(body))
+body["appliances"] = ["refit:kettle", "ukdale:dishwasher"]
+open(sys.argv[1] + "/request2.json", "w").write(json.dumps(body))
 PY
-    curl -sfS -X POST "http://$GW_ADDR/v1/localize" \
-        -H 'Content-Type: application/json' --data @"$GW_DIR/request.json" \
-        -o "$GW_DIR/localize.json"
-    # The response must be parseable JSON with the expected schema tag and
-    # a result for the requested appliance.
+    for REQ in request request2; do
+        curl -sfS -X POST "http://$GW_ADDR/v1/localize" \
+            -H 'Content-Type: application/json' --data @"$GW_DIR/$REQ.json" \
+            -o "$GW_DIR/$REQ.out.json"
+    done
+    # Each response must be parseable JSON with the expected schema tag and
+    # a result for every requested appliance.
     python3 - "$GW_DIR" <<'PY'
 import json, sys
-doc = json.load(open(sys.argv[1] + "/localize.json"))
-assert doc["schema"] == "camal_localize/v1", doc
-hh = doc["households"][0]
-assert hh["id"] == "ci-house" and "refit:kettle" in hh["results"], doc
-print("localize round-trip ok:", json.dumps(hh["results"]["refit:kettle"]))
+for req in ("request", "request2"):
+    asked = json.load(open(f"{sys.argv[1]}/{req}.json"))["appliances"]
+    doc = json.load(open(f"{sys.argv[1]}/{req}.out.json"))
+    assert doc["schema"] == "camal_localize/v1", doc
+    hh = doc["households"][0]
+    assert hh["id"] == "ci-house" and sorted(hh["results"]) == sorted(asked), doc
+    print("localize round-trip ok:", json.dumps(hh["results"]))
 PY
     # Loadgen against the live server (report JSON re-validated in-process),
     # with the full HDR latency histogram dumped and validated.
@@ -236,7 +247,11 @@ PY
     wait "$GW_PID"
     echo "gateway shut down cleanly"
 
-    step "camal_gateway demo --smoke (byte-identity + micro-batching gates, JSON validated)"
+    # The demo trains the mixed ResNet + TransApp zoo
+    # (`Scale::mixed_camal_config`), so it doubles as the
+    # heterogeneous-backbone gate: checkpoint v3 save/load, registry
+    # manifest metadata and fleet/gateway serving over mixed members.
+    step "camal_gateway demo --smoke (zoo discovery + byte-stable reload, reload bit-identity, 30 s stream == slice_windows/localize_set, fleet == stream::serve for every key, healthz + localize == oracle, concurrent > sequential, mixed steps rejected, JSON validated)"
     cargo run --release -p nilm_eval --bin camal_gateway -- demo --smoke --out target/ci-gateway-demo
 
     # Chaos smoke: batcher panics + checkpoint corruption at 10% while a

@@ -240,7 +240,7 @@ impl FleetHousehold {
 /// [`crate::templates::generate_dataset`] uses. House ids are globally
 /// unique across templates so fleet timelines can be keyed by label.
 ///
-/// This is the workload the `camal_fleet` scheduler ingests: one feed per
+/// This is the workload the `camal::fleet` scheduler ingests: one feed per
 /// household, many appliance detectors fanned out over it.
 pub fn generate_fleet_scenario(
     ids: &[DatasetId],

@@ -1,12 +1,11 @@
 //! Runs every experiment at the chosen scale — the one-command
-//! reproduction — then smoke-runs the serving demos (`camal_serve`,
-//! `camal_fleet`, `camal_gateway`) so the "run everything" entry point
-//! also gates the persistence / streaming / fleet / network-gateway paths.
-//! The serving demos always run at smoke scale: they are correctness gates
-//! (bit-identical reload, stream-vs-batch, fleet-vs-serve and
-//! gateway-vs-serve equivalence, micro-batching > sequential), not
-//! figures, so their runtime stays bounded regardless of the experiment
-//! scale (see REPRODUCING.md).
+//! reproduction — then the serving demo (`camal_gateway demo`), so the
+//! "run everything" entry point also gates the persistence / streaming /
+//! fleet / network-gateway paths. The demo always runs at smoke scale: it
+//! is a correctness gate (bit-identical reload, stream-vs-batch,
+//! fleet-vs-serve and gateway-vs-serve equivalence, micro-batching >
+//! sequential), not a figure, so its runtime stays bounded regardless of
+//! the experiment scale (see REPRODUCING.md).
 
 use nilm_eval::runner::Scale;
 
@@ -63,12 +62,8 @@ fn main() {
         "ext_postprocess",
     );
 
-    println!("\nServing demos (smoke scale): camal_serve ...");
-    nilm_eval::serving::serve_demo(&Scale::smoke(), &args);
-    println!("\nServing demos (smoke scale): camal_fleet ...");
-    nilm_eval::serving::fleet_demo(&Scale::smoke(), &args);
-    println!("\nServing demos (smoke scale): camal_gateway ...");
-    nilm_eval::gateway::gateway_demo(&Scale::smoke(), &args);
+    println!("\nServing demo (smoke scale): camal_gateway demo ...");
+    nilm_eval::serving::demo(&Scale::smoke(), &args);
 
     println!("\nAll experiments complete.");
 }

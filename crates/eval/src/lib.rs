@@ -19,13 +19,13 @@
 //! | Fig. 9 costs | `fig9_costs` |
 //! | Fig. 10 soft labels | `fig10_soft_labels` |
 //!
-//! Beyond the figures, [`serving`] backs the service demos: `camal_serve`
-//! (checkpoint + single-appliance streaming) and `camal_fleet` (model-zoo
-//! registry + multi-appliance shared-pass scheduler); [`gateway`] backs
-//! `camal_gateway`, the networked HTTP gateway (`nilm_serve`) with its
-//! socket-level loadgen. `run_all` drives every experiment and then
-//! smoke-runs all three serving demos. REPRODUCING.md at the repo root
-//! tabulates all binaries with runtimes and output schemas.
+//! Beyond the figures, [`serving`] backs `camal_gateway`, the one serving
+//! binary: it trains the three-appliance demo zoo, serves it over the
+//! networked HTTP gateway ([`nilm_serve`]), drives it with the socket-level
+//! loadgen, runs in-process fleet passes, and gates all of it against one
+//! `camal::stream::serve` oracle (`demo`, `chaos`). `run_all` drives every
+//! experiment and then runs the serving demo. REPRODUCING.md at the repo
+//! root tabulates all binaries with runtimes and output schemas.
 //!
 //! ## Example
 //!
@@ -44,7 +44,6 @@
 pub mod complexity;
 pub mod cost;
 pub mod experiments;
-pub mod gateway;
 pub mod output;
 pub mod runner;
 pub mod serving;

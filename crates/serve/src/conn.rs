@@ -283,8 +283,8 @@ impl Conn {
     /// Moves consecutively-ready responses from the pipeline front into
     /// the outbox (strict request order). A non-keep-alive response marks
     /// the connection close-after-flush and discards everything pipelined
-    /// behind it — exactly what the thread-per-connection handler did by
-    /// never reading past a `Connection: close` request.
+    /// behind it: a response that announced `Connection: close` is the
+    /// last one the peer may read, so no request after it is answered.
     pub fn promote(&mut self) {
         while let Some(front) = self.pipeline.front() {
             if front.response.is_none() || self.close_after_flush {

@@ -260,7 +260,8 @@ pub(crate) struct Shared {
     /// Flipped true once every model is warm and the serving threads are
     /// up — the `/readyz` warm gate.
     pub(crate) ready: AtomicBool,
-    /// True while a batcher generation is inside its serving loop; false
+    /// True while a batcher generation is inside its serving loop (and
+    /// from `Gateway::start` until the first one enters it); false
     /// between a panic and the respawned generation's first pass, and
     /// permanently false after shutdown. `/readyz` reports 503 when the
     /// batcher is down.
@@ -326,7 +327,11 @@ impl Gateway {
             metrics: Metrics::new(),
             shutdown: AtomicBool::new(false),
             ready: AtomicBool::new(false),
-            batcher_alive: AtomicBool::new(false),
+            // The first generation is spawned below, before `ready` flips;
+            // counting it alive from the start keeps `/readyz` from
+            // answering "batcher is restarting" on a fresh gateway whose
+            // batcher thread has not been scheduled yet.
+            batcher_alive: AtomicBool::new(true),
             waker: Waker::new()?,
             cfg,
             addr,

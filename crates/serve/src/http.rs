@@ -12,16 +12,18 @@
 //! and yields complete [`Request`]s. Parsing is **chunking-invariant**:
 //! any split of a byte stream into chunks (1-byte drips, split CRLFs, split
 //! bodies) parses to the same requests, and a malformed stream fails with
-//! the same error at the same byte offset, as the whole-buffer parse. The
-//! blocking [`read_request`] used by tests and simple clients is a thin
-//! loop over the same parser, so there is exactly one parse implementation.
+//! the same error at the same byte offset, as the whole-buffer parse. It is
+//! the only server-side parse implementation; [`Request`]s reach the
+//! gateway through nothing else. Responses are framed by
+//! [`encode_response_with`] and read back on the client side by
+//! [`read_response`].
 //!
 //! Every malformed input maps to an error value (never a panic), and every
 //! read is bounded by the caller-supplied limits plus the socket read
 //! timeout or reactor idle deadline, so a hostile peer cannot hang the
 //! server.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 
 /// Hard limits applied while parsing one request.
@@ -282,9 +284,10 @@ impl RequestParser {
                         ParseState::Line => self.limits.max_request_line,
                         _ => self.limits.max_header_line,
                     };
-                    // Mirrors the historical blocking reader's bound: raw
-                    // line bytes (terminator included) may not exceed
-                    // `max + 2` (room for CRLF).
+                    // A line's limit counts its content only: raw line
+                    // bytes (terminator included) may not exceed `max + 2`,
+                    // so a line of exactly `max` bytes plus CRLF is legal
+                    // and [`read_response`] applies the same bound.
                     if self.line.len() + 1 > max + 2 {
                         let over = match self.state {
                             ParseState::Line => HttpError::UriTooLong,
@@ -426,39 +429,11 @@ fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpError> {
     Ok((method.to_string(), path.to_string(), version == "HTTP/1.0"))
 }
 
-/// Reads and parses one request from a blocking stream — a loop over
-/// [`RequestParser`], so blocking and reactor parsing share one
-/// implementation. `Err(HttpError::Closed)` is the clean end of a
-/// keep-alive connection.
-pub fn read_request(
-    reader: &mut BufReader<&TcpStream>,
-    limits: &HttpLimits,
-) -> Result<Request, HttpError> {
-    let mut parser = RequestParser::new(*limits);
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e) => return Err(HttpError::Io(e)),
-        };
-        if buf.is_empty() {
-            return Err(parser.eof_error());
-        }
-        let (n, request) = match parser.feed(buf) {
-            Ok(out) => out,
-            Err(e) => return Err(e.error),
-        };
-        reader.consume(n);
-        if let Some(request) = request {
-            return Ok(request);
-        }
-    }
-}
-
 /// Serializes one response (status line, headers, body) into a byte
-/// buffer. This is the single framing implementation: the blocking
-/// [`write_response_with`] and the reactor's outbox both emit these exact
-/// bytes, which keeps reactor responses byte-identical to the historical
-/// thread-per-connection handler.
+/// buffer. This is the single framing implementation: every byte the
+/// reactor's outbox writes comes from here, so the `Content-Length` always
+/// matches the body and a response's framing does not depend on the route
+/// that produced it.
 pub fn encode_response_with(
     status: u16,
     reason: &str,
@@ -482,66 +457,6 @@ pub fn encode_response_with(
     let mut out = head.into_bytes();
     out.extend_from_slice(body);
     out
-}
-
-/// Writes one response with a sized body and extra headers (e.g.
-/// `Retry-After` on a 503). `keep_alive` controls the `Connection` header;
-/// the caller decides based on the request and the server's shutdown state.
-pub fn write_response_with(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-    extra_headers: &[(&str, String)],
-) -> std::io::Result<()> {
-    let bytes = encode_response_with(status, reason, content_type, body, keep_alive, extra_headers);
-    stream.write_all(&bytes)?;
-    stream.flush()
-}
-
-/// Writes one response with a sized body and no extra headers.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_with(stream, status, reason, content_type, body, keep_alive, &[])
-}
-
-/// Writes a JSON response (`application/json`).
-pub fn write_json(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response(stream, status, reason, "application/json", body.as_bytes(), keep_alive)
-}
-
-/// Writes a JSON response with extra headers.
-pub fn write_json_with(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    body: &str,
-    keep_alive: bool,
-    extra_headers: &[(&str, String)],
-) -> std::io::Result<()> {
-    write_response_with(
-        stream,
-        status,
-        reason,
-        "application/json",
-        body.as_bytes(),
-        keep_alive,
-        extra_headers,
-    )
 }
 
 /// One parsed HTTP response (client side, for the load generator and
@@ -648,27 +563,27 @@ pub fn read_response(reader: &mut BufReader<&TcpStream>) -> Result<Response, Htt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
 
-    /// Feeds `input` to `read_request` through a real socket pair.
+    /// Parses `input` as one connection's byte stream: [`RequestParser::feed`]
+    /// until a request completes, and [`RequestParser::eof_error`] when the
+    /// stream ends first.
     fn parse_bytes(input: &[u8]) -> Result<Request, HttpError> {
         parse_bytes_with(input, &HttpLimits::default())
     }
 
     fn parse_bytes_with(input: &[u8], limits: &HttpLimits) -> Result<Request, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let input = input.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&input).unwrap();
-        });
-        let (stream, _) = listener.accept().unwrap();
-        stream.set_read_timeout(Some(std::time::Duration::from_secs(2))).unwrap();
-        let mut reader = BufReader::new(&stream);
-        let out = read_request(&mut reader, limits);
-        writer.join().unwrap();
-        out
+        let mut parser = RequestParser::new(*limits);
+        let mut rest = input;
+        while !rest.is_empty() {
+            let (n, request) = parser.feed(rest).map_err(|e| e.error)?;
+            if let Some(request) = request {
+                return Ok(request);
+            }
+            rest = &rest[n..];
+        }
+        Err(parser.eof_error())
     }
 
     #[test]
@@ -762,7 +677,7 @@ mod tests {
 
     #[test]
     fn truncated_body_is_an_io_error_not_a_hang() {
-        // Declares 10 bytes, sends 3, then closes: read_exact must fail.
+        // Declares 10 bytes, sends 3, then closes: the EOF is a truncation.
         let out = parse_bytes(b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc");
         assert!(matches!(out, Err(HttpError::Io(_))), "{out:?}");
     }
@@ -773,7 +688,9 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            write_json(&mut stream, 200, "OK", "{\"ok\":true}", true).unwrap();
+            let bytes =
+                encode_response_with(200, "OK", "application/json", b"{\"ok\":true}", true, &[]);
+            stream.write_all(&bytes).unwrap();
         });
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(&stream);

@@ -756,9 +756,9 @@ fn drop_conn(
     interests.remove(&id);
 }
 
-/// Encodes a [`Reply`] with the framing the thread-per-connection handler
-/// used — the body stays byte-identical; `trace` (when nonzero) adds the
-/// `X-Camal-Trace-Id` echo header.
+/// Encodes a [`Reply`] through [`encode_response_with`], the one framing
+/// implementation, so the body goes out byte-for-byte as the route built
+/// it; `trace` (when nonzero) adds the `X-Camal-Trace-Id` echo header.
 fn encode_reply(reply: &Reply, keep_alive: bool, trace: u64) -> Vec<u8> {
     let mut extra: Vec<(&str, String)> = Vec::new();
     if let Some(secs) = reply.retry_after {
