@@ -44,15 +44,16 @@ if [ "$MODE" != "quick" ]; then
     # (`Conv1d::set_backend`), then the forced backend (`NILM_BACKEND` or
     # `dispatch::set_forced_backend`), then the autotuner. Together with the
     # unforced run above this oracle-checks every path that selector can
-    # pick in production.
+    # pick in production. `fused_inference` pins the fused conv + BN + ReLU
+    # inference epilogue to the unfused chain on each of those paths.
     for BK in naive gemm simd; do
         step "kernel oracle sweep: NILM_BACKEND=$BK"
         NILM_BACKEND=$BK cargo test -q -p nilm_tensor --release \
-            --test kernel_oracle --test conv_gemm_equivalence
+            --test kernel_oracle --test conv_gemm_equivalence --test fused_inference
     done
     step "kernel oracle sweep: NILM_BACKEND=simd NILM_SIMD=off (scalar fallback)"
     NILM_BACKEND=simd NILM_SIMD=off cargo test -q -p nilm_tensor --release \
-        --test kernel_oracle --test conv_gemm_equivalence
+        --test kernel_oracle --test conv_gemm_equivalence --test fused_inference
 
     step "perf harness smoke run (validates BENCH_conv_gemm.json)"
     cargo run --release -p nilm_eval --bin bench_conv_gemm -- --smoke --out target/ci-bench

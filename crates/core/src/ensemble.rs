@@ -79,12 +79,14 @@ fn train_candidate(
             opt.step(net.as_mut());
         }
     }
-    let val_loss = eval_loss(net.as_mut(), val, cfg.train.batch_size);
+    let val_loss = eval_loss(net.as_ref(), val, cfg.train.batch_size);
     (net, val_loss, start.elapsed().as_secs_f64())
 }
 
-/// Mean cross-entropy of `net` on `data` (weak labels), eval mode.
-pub fn eval_loss(net: &mut dyn Detector, data: &WindowSet, batch: usize) -> f32 {
+/// Mean cross-entropy of `net` on `data` (weak labels), through stateless
+/// inference: bit-identical to an eval-mode forward, without filling the
+/// backward caches validation never reads.
+pub fn eval_loss(net: &dyn Detector, data: &WindowSet, batch: usize) -> f32 {
     if data.is_empty() {
         return f32::INFINITY;
     }
@@ -96,7 +98,7 @@ pub fn eval_loss(net: &mut dyn Detector, data: &WindowSet, batch: usize) -> f32 
     for chunk in indices.chunks(batch.max(1)) {
         data.batch_inputs_into(chunk, &mut x);
         data.batch_weak_labels_into(chunk, &mut labels);
-        let logits = net.forward(&x, Mode::Eval);
+        let logits = net.infer(&x);
         let (loss, _) = cross_entropy(&logits, &labels);
         total += loss as f64 * chunk.len() as f64;
         n += chunk.len();
@@ -265,9 +267,9 @@ mod tests {
     fn eval_loss_empty_set_is_infinite() {
         let train = toy_set(8, 16, 6);
         let cfg = fast_cfg();
-        let (mut members, _) = train_ensemble(&cfg, &train, &train, 1);
+        let (members, _) = train_ensemble(&cfg, &train, &train, 1);
         let empty = WindowSet::default();
-        assert_eq!(eval_loss(members[0].net.as_mut(), &empty, 4), f32::INFINITY);
+        assert_eq!(eval_loss(members[0].net.as_ref(), &empty, 4), f32::INFINITY);
     }
 
     #[test]

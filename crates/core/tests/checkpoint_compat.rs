@@ -93,6 +93,38 @@ fn v2_checkpoint_serves_bit_identically_to_its_source_model() {
     assert_eq!(f32_bits(&a.cam), f32_bits(&b.cam));
 }
 
+/// FNV-1a over a stream of words.
+fn digest(words: impl Iterator<Item = u32>) -> u64 {
+    words
+        .flat_map(u32::to_le_bytes)
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01B3))
+}
+
+fn bits_digest(rows: &[Vec<f32>]) -> u64 {
+    digest(rows.iter().flatten().map(|v| v.to_bits()))
+}
+
+/// Golden outputs of the fixture on a fixed probe, recorded before the
+/// ResNet's conv blocks were fused for inference: how a model is built and
+/// run may change, what an old checkpoint says may not.
+#[test]
+fn v2_checkpoint_answers_match_the_recorded_golden_bits() {
+    const PROBA_BITS: [u32; 6] =
+        [1057227549, 1056578721, 1057543278, 1057259934, 1057585848, 1057644891];
+    const STATUS_DIGEST: u64 = 15951105495025067029;
+    const SCORES_DIGEST: u64 = 9083235962300723153;
+    const CAM_DIGEST: u64 = 16089798595046478323;
+
+    let back = CamalModel::from_bytes(FIXTURE).expect("v2 fixture must keep loading");
+    let x = probe_batch(6, 0x601D);
+    let proba: Vec<u32> = back.detect_proba(&x).iter().map(|p| p.to_bits()).collect();
+    let out = back.localize_batch(&x);
+    let status = digest(out.status.iter().flatten().map(|&s| s as u32));
+    let actual = (proba, status, bits_digest(&out.scores), bits_digest(&out.cam));
+    let golden = (PROBA_BITS.to_vec(), STATUS_DIGEST, SCORES_DIGEST, CAM_DIGEST);
+    assert_eq!(actual, golden, "the v2 fixture's answers changed");
+}
+
 #[test]
 fn v2_checkpoint_resaves_as_v3_and_still_serves_identically() {
     let mut back = CamalModel::from_bytes(FIXTURE).expect("v2 fixture must keep loading");

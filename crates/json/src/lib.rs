@@ -165,13 +165,7 @@ impl JsonValue {
             JsonValue::Bool(b) => {
                 let _ = write!(out, "{b}");
             }
-            JsonValue::Number(n) => {
-                if n.is_finite() {
-                    let _ = write!(out, "{n}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            JsonValue::Number(n) => write_number(out, *n),
             JsonValue::String(s) => write_escaped(out, s),
             JsonValue::Array(items) => {
                 if items.is_empty() {
@@ -210,13 +204,7 @@ impl JsonValue {
             JsonValue::Bool(b) => {
                 let _ = write!(out, "{b}");
             }
-            JsonValue::Number(n) => {
-                if n.is_finite() {
-                    let _ = write!(out, "{n}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            JsonValue::Number(n) => write_number(out, *n),
             JsonValue::String(s) => write_escaped(out, s),
             JsonValue::Array(items) => {
                 out.push('[');
@@ -242,6 +230,41 @@ impl JsonValue {
             }
         }
     }
+}
+
+/// Largest magnitude below which every integral `f64` is exact (2^53).
+const EXACT_INT_LIMIT: f64 = 9_007_199_254_740_992.0;
+
+/// Emits `n` exactly as `write!("{n}")` would, or `null` when it is not
+/// finite. Integral values below 2^53 in magnitude (all but `-0.0`, which
+/// `Display` writes as `-0`) take a digit loop instead of the float
+/// formatter: for them `Display` prints the plain decimal integer, so the
+/// bytes are the same and most numbers of a localize response (0/1
+/// statuses, whole watts) skip the formatter entirely.
+fn write_number(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    if n.abs() < EXACT_INT_LIMIT && n.trunc() == n && !(n == 0.0 && n.is_sign_negative()) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut v = n.abs() as u64;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        if n < 0.0 {
+            out.push('-');
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+        return;
+    }
+    let _ = write!(out, "{n}");
 }
 
 fn write_escaped(out: &mut String, s: &str) {

@@ -92,3 +92,44 @@ proptest! {
         prop_assert_eq!(back, doc);
     }
 }
+
+/// Both emitters write every number byte-for-byte as `Display` does —
+/// integral values (which take a digit loop below 2^53) and everything
+/// else alike — and non-finite numbers as `null`.
+#[test]
+fn numbers_emit_exactly_as_display() {
+    const TWO_53: f64 = 9_007_199_254_740_992.0;
+    let values = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        255.0,
+        TWO_53 - 1.0,
+        -(TWO_53 - 1.0),
+        TWO_53,
+        -TWO_53,
+        1e15,
+        1e16,
+        1e21,
+        1e300,
+        0.5,
+        0.1f32 as f64,
+    ];
+    // Every power of two up to 2^64 and its neighbours, both signs: each
+    // side of the digit loop's 2^53 bound.
+    let powers = (0..=64).flat_map(|k| {
+        let p = 2f64.powi(k);
+        [p - 1.0, p, p + 1.0].into_iter().flat_map(|v| [v, -v])
+    });
+    for n in values.into_iter().chain(powers) {
+        let doc = JsonValue::Number(n);
+        assert_eq!(doc.to_compact(), format!("{n}"), "compact emission of {n:?}");
+        assert_eq!(doc.to_pretty(), format!("{n}\n"), "pretty emission of {n:?}");
+    }
+    for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let doc = JsonValue::Number(n);
+        assert_eq!(doc.to_compact(), "null", "compact emission of {n:?}");
+        assert_eq!(doc.to_pretty(), "null\n", "pretty emission of {n:?}");
+    }
+}

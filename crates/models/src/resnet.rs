@@ -5,6 +5,7 @@
 //! available (Definition II.1): `CAM_c(t) = Σ_k w^k_c · f^k(t)`.
 
 use crate::detector::{cached_cam, Detector, DetectorOutput};
+use nilm_tensor::activation::relu;
 use nilm_tensor::prelude::*;
 use rand::Rng;
 
@@ -37,24 +38,20 @@ impl ResNetConfig {
     }
 }
 
-/// One residual unit: three conv blocks with kernels `{k_p, 5, 3}` plus a
-/// projection shortcut (1x1 conv + BN) when channel counts change.
+/// One residual unit: three [`ConvBn`] blocks (conv + BN, ReLU on the
+/// first two) with kernels `{k_p, 5, 3}`, plus a projection shortcut (1x1
+/// conv + BN) when channel counts change. Inference runs each block as one
+/// fused kernel + epilogue pass; weights, RNG draws and the checkpoint
+/// layout are those of the plain conv/BN/ReLU stack.
 fn res_unit(rng: &mut impl Rng, in_c: usize, out_c: usize, kp: usize) -> Residual {
     let main = Sequential::new()
-        .push(Conv1d::new(rng, in_c, out_c, kp, Padding::Same))
-        .push(BatchNorm1d::new(out_c))
-        .push(ReLU::default())
-        .push(Conv1d::new(rng, out_c, out_c, 5, Padding::Same))
-        .push(BatchNorm1d::new(out_c))
-        .push(ReLU::default())
-        .push(Conv1d::new(rng, out_c, out_c, 3, Padding::Same))
-        .push(BatchNorm1d::new(out_c));
+        .push(ConvBn::new(rng, in_c, out_c, kp, Padding::Same, true))
+        .push(ConvBn::new(rng, out_c, out_c, 5, Padding::Same, true))
+        .push(ConvBn::new(rng, out_c, out_c, 3, Padding::Same, false));
     if in_c == out_c {
         Residual::new(main)
     } else {
-        let shortcut = Sequential::new()
-            .push(Conv1d::new(rng, in_c, out_c, 1, Padding::Same))
-            .push(BatchNorm1d::new(out_c));
+        let shortcut = ConvBn::new(rng, in_c, out_c, 1, Padding::Same, false);
         Residual::with_shortcut(main, shortcut)
     }
 }
@@ -94,8 +91,11 @@ impl ResNet {
 impl Detector for ResNet {
     fn infer_features(&self, x: &Tensor) -> DetectorOutput {
         let mut cur: Option<Tensor> = None;
-        for (unit, relu) in self.units.iter().zip(&self.relus) {
-            cur = Some(relu.infer(&unit.infer(cur.as_ref().unwrap_or(x))));
+        for unit in &self.units {
+            // The post-unit ReLU, in place on the residual sum.
+            let mut y = unit.infer(cur.as_ref().unwrap_or(x));
+            y.data_mut().iter_mut().for_each(|v| *v = relu(*v));
+            cur = Some(y);
         }
         let features = cur.expect("ResNet has at least one residual unit");
         let logits = self.head.infer(&self.gap.infer(&features));

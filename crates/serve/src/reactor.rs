@@ -792,8 +792,10 @@ fn worker_loop(
         };
         let Ok(work) = work else { return };
         // A wedged worker: sleeps past the request's deadline, proving the
-        // reactor-side timer answers even when decode itself is stuck.
-        if nilm_fault::fires("worker.wedge") {
+        // reactor-side timer answers even when decode itself is stuck. The
+        // draw is keyed by the request, `(conn_id, seq)`, so the same
+        // requests wedge whichever worker takes them.
+        if nilm_fault::fires_at("worker.wedge", work.conn_id.rotate_left(32) ^ work.seq) {
             std::thread::sleep(work.deadline.saturating_mul(2));
         }
         let handle = ReplyHandle {

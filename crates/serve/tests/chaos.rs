@@ -443,7 +443,7 @@ fn wedged_worker_is_answered_by_the_reactor_deadline() {
     let households = vec![toy_household(2, 13)];
     let body = localize_request(&[kettle()], &households, Detail::Summary).to_compact();
 
-    nilm_fault::arm_limited("worker.wedge", 1.0, 47, Some(1));
+    nilm_fault::arm("worker.wedge", 1.0, 47);
     let start = Instant::now();
     let response = post_localize(&addr, &body);
     let elapsed = start.elapsed();
@@ -454,7 +454,9 @@ fn wedged_worker_is_answered_by_the_reactor_deadline() {
         "deadline reply took {elapsed:?}, want ~250ms"
     );
 
-    // Once the wedged worker wakes back up, the pool serves normally.
+    // Once the wedged worker wakes back up, the pool serves normally. (The
+    // draw is per request, so the point is disarmed rather than limited.)
+    nilm_fault::disarm("worker.wedge");
     std::thread::sleep(Duration::from_millis(700));
     let response = post_localize(&addr, &body);
     assert_eq!(response.status, 200, "{:?}", response.body_str());
@@ -462,6 +464,74 @@ fn wedged_worker_is_answered_by_the_reactor_deadline() {
 
     nilm_fault::disarm_all();
     gateway.shutdown();
+}
+
+#[test]
+fn a_partial_wedge_hits_the_same_requests_whichever_worker_takes_them() {
+    let _g = faults();
+    const REQUESTS: usize = 6;
+    let deadline = Duration::from_millis(300);
+    let households = vec![toy_household(2, 15)];
+    let body = localize_request(&[kettle()], &households, Detail::Summary).to_compact();
+    let request = format!(
+        "POST /v1/localize HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    // Two decode workers and two keep-alive clients sending at once, so
+    // which worker evaluates which request's draw is up to the scheduler.
+    // Returns, per client, which of its requests were wedged.
+    let run = || -> Vec<Vec<bool>> {
+        let mut registry = ModelRegistry::unbounded();
+        registry.insert(kettle(), random_model(&[5], 59));
+        let cfg = GatewayConfig { deadline, reactor_workers: 2, ..test_config() };
+        let gateway = Gateway::start(registry, cfg).expect("gateway starts");
+        let addr = gateway.addr().to_string();
+        nilm_fault::arm("worker.wedge", 0.35, 71);
+        // Both connect before either sends: connection ids follow this
+        // order on every run.
+        let clients: Vec<TcpStream> =
+            (0..2).map(|_| TcpStream::connect(&addr).expect("connect")).collect();
+        let wedged = std::thread::scope(|s| {
+            let handles: Vec<_> = clients
+                .iter()
+                .map(|stream| {
+                    let request = &request;
+                    s.spawn(move || {
+                        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+                        let mut reader = BufReader::new(stream);
+                        (0..REQUESTS)
+                            .map(|_| {
+                                (&*stream).write_all(request.as_bytes()).expect("send");
+                                let response = read_response(&mut reader).expect("response");
+                                let wedged = response.status == 503;
+                                if wedged {
+                                    assert_503_with_retry_after(&response);
+                                    let text = response.body_str().unwrap();
+                                    assert!(text.contains("deadline"), "{text:?}");
+                                    // Let the wedged worker wake before the next
+                                    // request, so a free worker always exists and
+                                    // only wedged requests miss their deadline.
+                                    std::thread::sleep(deadline * 2 + deadline / 2);
+                                } else {
+                                    assert_eq!(response.status, 200, "{:?}", response.body_str());
+                                }
+                                wedged
+                            })
+                            .collect::<Vec<bool>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+        });
+        nilm_fault::disarm_all();
+        gateway.shutdown();
+        wedged
+    };
+    let first = run();
+    let second = run();
+    assert_eq!(first, second, "a per-request wedge draw must not depend on the worker");
+    let hits = first.iter().flatten().filter(|&&w| w).count();
+    assert!(hits > 0 && hits < 2 * REQUESTS, "p = 0.35 should wedge some requests: {first:?}");
 }
 
 #[test]

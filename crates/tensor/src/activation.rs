@@ -3,10 +3,17 @@
 use crate::layer::{Layer, Mode};
 use crate::tensor::Tensor;
 
+/// Scalar ReLU, `v.max(0.0)`: the one formula behind [`ReLU`], the fused
+/// convolution epilogue and in-place post-residual activations.
+#[inline(always)]
+pub fn relu(v: f32) -> f32 {
+    v.max(0.0)
+}
+
 /// Rectified linear unit: `max(0, x)`.
 #[derive(Default)]
 pub struct ReLU {
-    mask: Vec<bool>,
+    pub(crate) mask: Vec<bool>,
 }
 
 impl Layer for ReLU {
@@ -19,7 +26,7 @@ impl Layer for ReLU {
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        x.map(|v| v.max(0.0))
+        x.map(relu)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -34,12 +34,20 @@
 //! on the real workload and caches the winner for the process lifetime
 //! (shapes too small to be worth a race run naive). Only bit-identical
 //! candidates are raced, so autotuning never perturbs results.
+//!
+//! Inference finishes every output in one more memory pass, the epilogue
+//! of [`Conv1d::infer_with`]: bias add, an optional batch-norm eval map
+//! ([`ChannelAffine`]) and an optional ReLU, per element in the order of
+//! the unfused `Conv1d` → `BatchNorm1d` → `ReLU` chain, so fusing never
+//! changes a bit. [`ConvBn`] is the block that uses it.
 
+use crate::activation::{relu, ReLU};
 use crate::dispatch::{self, Backend, ShapeKey};
 use crate::gemm::{fmadd, gemm_mode, gemm_seq_mode, kernel_mode_for, KernelMode, Layout};
 use crate::im2col::{grad2col, im2col, weight_for_input_grad, ConvGeometry};
 use crate::init;
 use crate::layer::{Layer, Mode, Param};
+use crate::norm::{BatchNorm1d, ChannelAffine};
 use crate::simd;
 use crate::tensor::Tensor;
 use rand::Rng;
@@ -234,15 +242,20 @@ impl Conv1d {
         v
     }
 
-    /// Adds the bias (when present) on top of fully accumulated outputs.
-    fn add_bias(&self, out: &mut Tensor) {
-        if let Some(bias) = &self.bias {
-            let (b, _, _) = out.dims3();
-            for bi in 0..b {
-                for (co, &v) in bias.value.data().iter().enumerate() {
-                    out.row_mut(bi, co).iter_mut().for_each(|o| *o += v);
-                }
-            }
+    /// Finishes fully accumulated outputs in one pass over each row: the
+    /// bias (when present), then `bn`'s eval map, then ReLU.
+    fn epilogue(&self, out: &mut Tensor, bn: Option<&BatchNorm1d>, relu: bool) {
+        if self.bias.is_none() && bn.is_none() && !relu {
+            return;
+        }
+        let channels: Vec<(Option<f32>, Option<ChannelAffine>)> = (0..self.out_c)
+            .map(|co| {
+                (self.bias.as_ref().map(|p| p.value.data()[co]), bn.map(|bn| bn.eval_affine(co)))
+            })
+            .collect();
+        let t = out.dims3().2;
+        for (row, &(bias, affine)) in out.data_mut().chunks_mut(t).zip(channels.iter().cycle()) {
+            finish_row(row, bias, affine, relu);
         }
     }
 
@@ -256,6 +269,41 @@ impl Conv1d {
             }
             (_, mode) => self.forward_gemm(x, geo, out, mode),
         }
+    }
+
+    /// Stateless inference with a fused epilogue: the dispatched kernel
+    /// (the same `observe` / `autotune` accounting as every forward), then
+    /// one pass over each output row that adds the bias, applies `bn`'s
+    /// eval map ([`BatchNorm1d::eval_affine`]) and, when `relu`, clamps at
+    /// zero. Per element that is
+    /// `o += bias; o = g * ((o - mean) * inv_std) + be; o = o.max(0.0)`,
+    /// the unfused chain's exact operation order, so the result is
+    /// bit-identical to `Conv1d::infer` → `BatchNorm1d::infer` →
+    /// `ReLU::infer`, without their two extra output-sized tensors.
+    pub fn infer_with(&self, x: &Tensor, bn: Option<&BatchNorm1d>, relu: bool) -> Tensor {
+        let (b, c_in, t_in) = x.dims3();
+        assert_eq!(c_in, self.in_c, "Conv1d expected {} input channels, got {}", self.in_c, c_in);
+        let geo = self.geometry(t_in);
+        let mut out = Tensor::zeros(&[b, self.out_c, geo.t_out]);
+        // A fixed backend runs under `dispatch::observe`, which feeds the
+        // cumulative per-(op, shape, backend) kernel table and, inside a
+        // traced request, records the "kernel" child span;
+        // `dispatch::autotune` does the same for the race's winner.
+        let key = Self::forward_key(&geo, b);
+        match self.fixed_backend(&geo, b) {
+            Some(backend) => {
+                dispatch::observe(key, backend, || self.forward_with(backend, x, &geo, &mut out))
+            }
+            None => {
+                dispatch::autotune(key, &Self::auto_candidates(), |backend| {
+                    // Tuning re-runs must re-zero between candidates.
+                    out.data_mut().iter_mut().for_each(|v| *v = 0.0);
+                    self.forward_with(backend, x, &geo, &mut out)
+                });
+            }
+        }
+        self.epilogue(&mut out, bn, relu);
+        out
     }
 
     // ---- naive (shifted-axpy) backend -----------------------------------
@@ -614,29 +662,7 @@ impl Layer for Conv1d {
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        let (b, c_in, t_in) = x.dims3();
-        assert_eq!(c_in, self.in_c, "Conv1d expected {} input channels, got {}", self.in_c, c_in);
-        let geo = self.geometry(t_in);
-        let mut out = Tensor::zeros(&[b, self.out_c, geo.t_out]);
-        // A fixed backend runs under `dispatch::observe`, which feeds the
-        // cumulative per-(op, shape, backend) kernel table and, inside a
-        // traced request, records the "kernel" child span;
-        // `dispatch::autotune` does the same for the race's winner.
-        let key = Self::forward_key(&geo, b);
-        match self.fixed_backend(&geo, b) {
-            Some(backend) => {
-                dispatch::observe(key, backend, || self.forward_with(backend, x, &geo, &mut out))
-            }
-            None => {
-                dispatch::autotune(key, &Self::auto_candidates(), |backend| {
-                    // Tuning re-runs must re-zero between candidates.
-                    out.data_mut().iter_mut().for_each(|v| *v = 0.0);
-                    self.forward_with(backend, x, &geo, &mut out)
-                });
-            }
-        }
-        self.add_bias(&mut out);
-        out
+        self.infer_with(x, None, false)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -682,6 +708,106 @@ impl Layer for Conv1d {
         if let Some(b) = &mut self.bias {
             f(b);
         }
+    }
+}
+
+/// One epilogue row, in place: `o += bias`, then the batch-norm map, then
+/// ReLU, each step only when present. Matching on the options once per row
+/// keeps the per-element loop branch-free.
+#[inline(always)]
+fn finish_row(row: &mut [f32], bias: Option<f32>, affine: Option<ChannelAffine>, relu: bool) {
+    match (bias, affine) {
+        (Some(b), Some(a)) => map_row(row, relu, |v| a.apply(v + b)),
+        (Some(b), None) => map_row(row, relu, |v| v + b),
+        (None, Some(a)) => map_row(row, relu, |v| a.apply(v)),
+        (None, None) => map_row(row, relu, |v| v),
+    }
+}
+
+#[inline(always)]
+fn map_row(row: &mut [f32], with_relu: bool, f: impl Fn(f32) -> f32) {
+    if with_relu {
+        row.iter_mut().for_each(|o| *o = relu(f(*o)));
+    } else {
+        row.iter_mut().for_each(|o| *o = f(*o));
+    }
+}
+
+/// Convolution, batch normalization and an optional ReLU: the conv block of
+/// the paper's ResNet.
+///
+/// Train and eval forwards (and backward) chain the three layers exactly as
+/// a `Sequential` of them would. Inference — [`Layer::infer`] and
+/// `forward(.., Mode::Infer)` — runs [`Conv1d::infer_with`] instead: one
+/// kernel plus one epilogue pass per output, bit-identical to the chain.
+/// State is visited conv first, then batch norm, and the constructor draws
+/// from the RNG exactly as `Conv1d::new` alone does, so checkpoints and
+/// trained weights match the unfused `Sequential` layout.
+pub struct ConvBn {
+    conv: Conv1d,
+    bn: BatchNorm1d,
+    relu: Option<ReLU>,
+}
+
+impl ConvBn {
+    /// A stride-1, dilation-1 convolution with bias (He initialization),
+    /// batch norm over its `out_c` channels, and a ReLU when `relu`.
+    pub fn new(
+        rng: &mut impl Rng,
+        in_c: usize,
+        out_c: usize,
+        k: usize,
+        padding: Padding,
+        relu: bool,
+    ) -> Self {
+        Self::from_parts(Conv1d::new(rng, in_c, out_c, k, padding), BatchNorm1d::new(out_c), relu)
+    }
+
+    /// The block over an existing convolution and a batch norm over its
+    /// output channels.
+    pub fn from_parts(conv: Conv1d, bn: BatchNorm1d, relu: bool) -> Self {
+        assert_eq!(bn.channels, conv.out_c, "ConvBn: batch norm must span the conv's outputs");
+        ConvBn { conv, bn, relu: relu.then(ReLU::default) }
+    }
+}
+
+impl Layer for ConvBn {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        if !mode.caches_for_backward() {
+            // Drop every stale backward cache, as the unfused layers' own
+            // `Infer` forwards would, so a later backward panics.
+            self.conv.cached_input = None;
+            self.bn.xhat = None;
+            if let Some(r) = &mut self.relu {
+                r.mask.clear();
+            }
+            return self.infer(x);
+        }
+        let y = self.bn.forward(&self.conv.forward(x, mode), mode);
+        match &mut self.relu {
+            Some(r) => r.forward(&y, mode),
+            None => y,
+        }
+    }
+
+    fn infer(&self, x: &Tensor) -> Tensor {
+        self.conv.infer_with(x, Some(&self.bn), self.relu.is_some())
+    }
+
+    fn backward(&mut self, grad: &Tensor) -> Tensor {
+        let g = self.relu.as_mut().map(|r| r.backward(grad));
+        let g = self.bn.backward(g.as_ref().unwrap_or(grad));
+        self.conv.backward(&g)
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.conv.visit_params(f);
+        self.bn.visit_params(f);
+    }
+
+    fn visit_state(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        self.conv.visit_state(f);
+        self.bn.visit_state(f);
     }
 }
 

@@ -53,7 +53,7 @@ pub mod prelude {
     pub use crate::attention::{
         MultiHeadSelfAttention, PositionalEncoding, TransformerEncoderLayer,
     };
-    pub use crate::conv::{Conv1d, Padding};
+    pub use crate::conv::{Conv1d, ConvBn, Padding};
     pub use crate::dispatch::{forced_backend, set_forced_backend, Backend};
     pub use crate::dropout::Dropout;
     pub use crate::layer::{Identity, Layer, Mode, Param, Residual, Sequential};

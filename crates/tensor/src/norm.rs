@@ -29,10 +29,35 @@ fn channel_sums(x: &Tensor, b: usize, ci: usize) -> (f32, f32) {
     (s.iter().sum(), q.iter().sum())
 }
 
+/// One channel's eval-mode batch-norm map: `γ · ((v − mean) · inv_std) + β`
+/// with the running statistics frozen. The single source of that formula:
+/// [`BatchNorm1d`]'s stateless inference and the fused convolution
+/// epilogue ([`crate::conv::Conv1d::infer_with`]) both apply it, so they
+/// stay bit-identical to each other and to an eval forward.
+#[derive(Clone, Copy, Debug)]
+pub struct ChannelAffine {
+    /// Running mean of the channel.
+    pub mean: f32,
+    /// `1 / sqrt(running_var + eps)`.
+    pub inv_std: f32,
+    /// Scale γ.
+    pub gamma: f32,
+    /// Shift β.
+    pub beta: f32,
+}
+
+impl ChannelAffine {
+    /// Applies the map to one value, in the eval forward's operation order.
+    #[inline(always)]
+    pub fn apply(self, v: f32) -> f32 {
+        self.gamma * ((v - self.mean) * self.inv_std) + self.beta
+    }
+}
+
 /// Batch normalization over `[batch, channels, time]`: statistics are
 /// computed per channel across the batch and time axes.
 pub struct BatchNorm1d {
-    channels: usize,
+    pub(crate) channels: usize,
     eps: f32,
     momentum: f32,
     gamma: Param,
@@ -42,7 +67,7 @@ pub struct BatchNorm1d {
     running_mean: Tensor,
     running_var: Tensor,
     // Caches for backward.
-    xhat: Option<Tensor>,
+    pub(crate) xhat: Option<Tensor>,
     inv_std: Vec<f32>,
     last_mode: Mode,
 }
@@ -61,6 +86,16 @@ impl BatchNorm1d {
             xhat: None,
             inv_std: vec![0.0; channels],
             last_mode: Mode::Train,
+        }
+    }
+
+    /// The frozen eval-mode map of channel `ci`.
+    pub fn eval_affine(&self, ci: usize) -> ChannelAffine {
+        ChannelAffine {
+            mean: self.running_mean.data()[ci],
+            inv_std: 1.0 / (self.running_var.data()[ci] + self.eps).sqrt(),
+            gamma: self.gamma.value.data()[ci],
+            beta: self.beta.value.data()[ci],
         }
     }
 }
@@ -123,24 +158,20 @@ impl Layer for BatchNorm1d {
     }
 
     /// Running statistics in one fused pass, with no normalized-input
-    /// buffer. The per-element operation order matches the eval path
-    /// exactly — `g * ((v - mean) * inv_std) + be` — so the two stay
-    /// bit-identical.
+    /// buffer. [`ChannelAffine::apply`] keeps the eval path's per-element
+    /// operation order exactly — `g * ((v - mean) * inv_std) + be` — so the
+    /// two stay bit-identical.
     fn infer(&self, x: &Tensor) -> Tensor {
         let (b, c, t) = x.dims3();
         assert_eq!(c, self.channels, "BatchNorm1d expected {} channels, got {c}", self.channels);
         let mut out = Tensor::zeros(&[b, c, t]);
         for ci in 0..c {
-            let mean = self.running_mean.data()[ci];
-            let var = self.running_var.data()[ci];
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            let g = self.gamma.value.data()[ci];
-            let be = self.beta.value.data()[ci];
+            let affine = self.eval_affine(ci);
             for bi in 0..b {
                 let xr = x.row(bi, ci);
                 let or = out.row_mut(bi, ci);
                 for (o, &v) in or.iter_mut().zip(xr) {
-                    *o = g * ((v - mean) * inv_std) + be;
+                    *o = affine.apply(v);
                 }
             }
         }
