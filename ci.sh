@@ -39,19 +39,22 @@ if [ "$MODE" != "quick" ]; then
     RAYON_NUM_THREADS=4 cargo test -q -p nilm_tensor --release
 
     # Kernel-oracle sweep: the dispatch-layer property suite once per forced
-    # backend, plus once with SIMD disabled to pin the portable-scalar
-    # fallback. Backend selection has one precedence: a per-layer override
+    # backend, plus once with SIMD disabled to pin the portable microkernel.
+    # Backend selection has one precedence: a per-layer override
     # (`Conv1d::set_backend`), then the forced backend (`NILM_BACKEND` or
     # `dispatch::set_forced_backend`), then the autotuner. Together with the
     # unforced run above this oracle-checks every path that selector can
-    # pick in production. `fused_inference` pins the fused conv + BN + ReLU
-    # inference epilogue to the unfused chain on each of those paths.
-    for BK in naive gemm simd; do
+    # pick in production, exactly. The SIMD-off leg runs what a host without
+    # exact SIMD kernels runs, and what the removed `gemm` backend selected:
+    # the lowered convolution plus the portable microkernel, forward,
+    # backward and plain GEMM. `fused_inference` pins the fused conv + BN +
+    # ReLU inference epilogue to the unfused chain on each of those paths.
+    for BK in naive simd; do
         step "kernel oracle sweep: NILM_BACKEND=$BK"
         NILM_BACKEND=$BK cargo test -q -p nilm_tensor --release \
             --test kernel_oracle --test conv_gemm_equivalence --test fused_inference
     done
-    step "kernel oracle sweep: NILM_BACKEND=simd NILM_SIMD=off (scalar fallback)"
+    step "kernel oracle sweep: NILM_BACKEND=simd NILM_SIMD=off (portable microkernel)"
     NILM_BACKEND=simd NILM_SIMD=off cargo test -q -p nilm_tensor --release \
         --test kernel_oracle --test conv_gemm_equivalence --test fused_inference
 

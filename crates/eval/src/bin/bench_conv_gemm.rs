@@ -2,15 +2,14 @@
 //!
 //! Times the hot path of the reproduction — detector forward/backward, full
 //! CamAL inference, and one ensemble-training epoch — under the naive
-//! (shifted-axpy), GEMM (portable microkernel), SIMD (explicit AVX2/NEON
-//! microkernels + skinny fast path) and Auto (shape-keyed autotuner)
-//! backends at [`Scale::bench`] geometry (batch 16, window 128), and writes
-//! the results to `BENCH_conv_gemm.json` so later PRs have a trajectory to
-//! regress against.
+//! (shifted-axpy), SIMD (lowered convolution on the host's microkernel) and
+//! Auto (shape-keyed autotuner) backends at [`Scale::bench`] geometry
+//! (batch 16, window 128), and writes the results to `BENCH_conv_gemm.json`
+//! so later PRs have a trajectory to regress against.
 //!
 //! Each column forces its backend process-wide with
-//! [`dispatch::set_forced_backend`] (Auto forces none), so the forcing
-//! covers the linear and attention GEMMs as well as the convolutions.
+//! [`dispatch::set_forced_backend`] (Auto forces none). Linear and
+//! attention GEMMs always run the host's microkernel.
 //!
 //! ```text
 //! cargo run --release -p nilm_eval --bin bench_conv_gemm            # paper-width ResNet
@@ -43,7 +42,6 @@ const BATCH: usize = 16;
 
 struct Timings {
     naive_ms: f64,
-    gemm_ms: f64,
     simd_ms: f64,
     auto_ms: f64,
 }
@@ -60,16 +58,14 @@ impl Timings {
     /// Naive over the best dispatched backend — the number a serving stack
     /// actually gets, since Auto races all bit-identical candidates.
     fn speedup(&self) -> f64 {
-        self.speedup_over_naive(self.gemm_ms.min(self.simd_ms).min(self.auto_ms))
+        self.speedup_over_naive(self.simd_ms.min(self.auto_ms))
     }
 
     fn to_json(&self) -> JsonValue {
         JsonValue::object([
             ("naive_ms", JsonValue::Number(self.naive_ms)),
-            ("gemm_ms", JsonValue::Number(self.gemm_ms)),
             ("simd_ms", JsonValue::Number(self.simd_ms)),
             ("auto_ms", JsonValue::Number(self.auto_ms)),
-            ("speedup_gemm", JsonValue::Number(self.speedup_over_naive(self.gemm_ms))),
             ("speedup_simd", JsonValue::Number(self.speedup_over_naive(self.simd_ms))),
             ("speedup_auto", JsonValue::Number(self.speedup_over_naive(self.auto_ms))),
             ("speedup", JsonValue::Number(self.speedup())),
@@ -95,19 +91,15 @@ fn time_backend(backend: Option<Backend>, reps: usize, mut f: impl FnMut()) -> f
 
 fn measure(reps: usize, mut f: impl FnMut()) -> Timings {
     let naive_ms = time_backend(Some(Backend::Naive), reps, &mut f);
-    let gemm_ms = time_backend(Some(Backend::Gemm), reps, &mut f);
     let simd_ms = time_backend(Some(Backend::Simd), reps, &mut f);
     let auto_ms = time_backend(None, reps, &mut f);
-    Timings { naive_ms, gemm_ms, simd_ms, auto_ms }
+    Timings { naive_ms, simd_ms, auto_ms }
 }
 
 fn print_timings(label: &str, t: &Timings, suffix: &str) {
     println!(
-        "{label:<20} naive {:8.2} ms | gemm {:8.2} ms ({:4.2}x) | simd {:8.2} ms ({:4.2}x) | \
-         auto {:8.2} ms ({:4.2}x){suffix}",
+        "{label:<20} naive {:8.2} ms | simd {:8.2} ms ({:4.2}x) | auto {:8.2} ms ({:4.2}x){suffix}",
         t.naive_ms,
-        t.gemm_ms,
-        t.speedup_over_naive(t.gemm_ms),
         t.simd_ms,
         t.speedup_over_naive(t.simd_ms),
         t.auto_ms,
@@ -180,7 +172,7 @@ fn main() {
     // --- full CamAL inference and one ensemble-training epoch -----------
     let cfg = scale.camal_config();
     let case = nilm_eval::runner::build_case_data(&nilm_eval::runner::smoke_cases()[0], &scale).1;
-    dispatch::set_forced_backend(Some(Backend::Gemm));
+    dispatch::set_forced_backend(Some(Backend::Simd));
     let model = CamalModel::train(&cfg, &case.train, &case.val, scale.threads);
     let inference = measure(reps.max(5), || {
         let _ = model.localize_set(&case.test, BATCH);
@@ -198,29 +190,32 @@ fn main() {
     );
 
     // --- artifact --------------------------------------------------------
+    let threads = rayon::current_num_threads();
     let doc = JsonValue::object([
-        ("schema", JsonValue::String("bench_conv_gemm/v2".into())),
+        ("schema", JsonValue::String("bench_conv_gemm/v3".into())),
         (
             "baseline_note",
-            JsonValue::String(
+            JsonValue::String(format!(
                 "naive_ms runs the shifted-axpy reference backend inside the current \
                  build, so it already benefits from shared layer work (FMA \
                  accumulation, vectorized BatchNorm reductions, allocation trims, \
-                 target-cpu codegen). gemm_ms is im2col + the portable packed \
-                 microkernel; simd_ms is the same lowering through the explicit \
-                 AVX2/NEON microkernels and the skinny-GEMM fast path; auto_ms is \
-                 the shape-keyed autotuner picking per layer shape (tuning happens \
-                 in the warm-up run and is cached). Each section's `speedup` is \
-                 naive over the best dispatched backend. `winner_table` records \
-                 the autotuner's per-shape decisions at the recorded `threads` \
-                 count; re-record after kernel changes (see REPRODUCING.md)."
-                    .into(),
-            ),
+                 target-cpu codegen). simd_ms is the lowered convolution (im2col, \
+                 or direct shifted windows for skinny stride-1 shapes) through the \
+                 host's microkernel: the explicit AVX2/NEON kernels and the \
+                 skinny-GEMM fast path when `simd_exact`, the portable packed \
+                 microkernel otherwise; auto_ms is the shape-keyed autotuner racing \
+                 naive and simd per layer shape (tuning happens in the warm-up run \
+                 and is cached). Each section's `speedup` is naive over the best \
+                 dispatched backend. Every section ran on {threads} worker threads \
+                 (`RAYON_NUM_THREADS`), and `winner_table` records the autotuner's \
+                 per-shape decisions at that count; re-record after kernel changes \
+                 (see REPRODUCING.md)."
+            )),
         ),
         ("mode", JsonValue::String(if smoke { "smoke" } else { "full" }.into())),
         ("window", JsonValue::Number(window as f64)),
         ("batch", JsonValue::Number(BATCH as f64)),
-        ("threads", JsonValue::Number(rayon::current_num_threads() as f64)),
+        ("threads", JsonValue::Number(threads as f64)),
         ("simd_available", JsonValue::Bool(nilm_tensor::simd::simd_available())),
         ("simd_exact", JsonValue::Bool(nilm_tensor::simd::simd_exact())),
         (

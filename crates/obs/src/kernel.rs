@@ -29,7 +29,7 @@ pub struct KernelKey {
     pub k: usize,
     /// Worker-pool width the shape was keyed under.
     pub threads: usize,
-    /// Winning backend (`"naive"`, `"gemm"`, `"simd"`).
+    /// Winning backend (`"naive"` or `"simd"`).
     pub backend: &'static str,
 }
 

@@ -297,7 +297,16 @@ impl Gateway {
     /// reactor, its worker pool, and the batcher thread. The registry
     /// moves into the batcher — it is the only thread that touches models
     /// afterwards.
+    ///
+    /// # Panics
+    ///
+    /// When `NILM_BACKEND` holds a value other than `naive`, `simd` or
+    /// `auto` (see [`nilm_tensor::dispatch::env_backend`]).
     pub fn start(mut registry: ModelRegistry, cfg: GatewayConfig) -> std::io::Result<Gateway> {
+        // Start-up runs no inference, so read `NILM_BACKEND` here: a bad
+        // value panics on the caller's thread instead of inside every
+        // respawn of the supervised batcher.
+        nilm_tensor::dispatch::env_backend();
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let mut models = BTreeMap::new();

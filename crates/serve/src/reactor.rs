@@ -320,7 +320,7 @@ fn run_reactor(
                         }
                     }
                     if !dead && ev.writable() && conn.wants_write() {
-                        dead = flush_conn(shared, conn);
+                        dead = flush_conn(shared, conn, id);
                     }
                     if dead {
                         drop_conn(&poller, &mut conns, &mut interests, id);
@@ -441,7 +441,7 @@ fn run_reactor(
                 );
                 conn.poison_input();
                 conn.promote();
-                if flush_conn(shared, conn) || conn.is_quiescent() {
+                if flush_conn(shared, conn, id) || conn.is_quiescent() {
                     drop_conn(&poller, &mut conns, &mut interests, id);
                 }
             }
@@ -659,7 +659,7 @@ fn pump_conn(
         }
     }
     conn.promote();
-    if conn.wants_write() && flush_conn(shared, conn) {
+    if conn.wants_write() && flush_conn(shared, conn, id) {
         return false;
     }
     if conn.close_after_flush && conn.outbox_empty() {
@@ -671,9 +671,12 @@ fn pump_conn(
     true
 }
 
-/// Flushes a connection's outbox. Returns `true` when the connection died.
-fn flush_conn(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
-    let force_short = nilm_fault::fires("conn.short_write");
+/// Flushes connection `id`'s outbox. Returns `true` when the connection
+/// died.
+fn flush_conn(shared: &Arc<Shared>, conn: &mut Conn, id: u64) -> bool {
+    // Keyed by connection, so which of its flushes are forced short does
+    // not depend on how other connections' events interleave with its own.
+    let force_short = nilm_fault::fires_at("conn.short_write", id);
     let progress = conn.write_some(force_short);
     for write in conn.take_completed_writes() {
         finish_write(shared, &write);

@@ -578,6 +578,63 @@ fn forced_short_writes_still_deliver_byte_identical_responses() {
 }
 
 #[test]
+fn short_writes_hit_the_same_flushes_whichever_client_goes_first() {
+    let _g = faults();
+    const REQUESTS: usize = 4;
+    let households = vec![toy_household(2, 16)];
+    // A summary and a full-detail response. A forced short write sends one
+    // byte, so a response's length caps how many of its flushes can go
+    // short; at p = 0.999 that cap often binds, and a draw sequence shared
+    // by both connections would give a different total depending on which
+    // client goes first.
+    let requests = [Detail::Summary, Detail::Full].map(|detail| {
+        let body = localize_request(&[kettle()], &households, detail).to_compact();
+        format!(
+            "POST /v1/localize HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    });
+    // Two keep-alive clients, each sending its requests one at a time, in
+    // client `order`. Returns the gateway's `partial_writes` total and, per
+    // client, its response bodies.
+    let run = |order: [usize; 2]| -> (usize, Vec<Vec<String>>) {
+        let mut registry = ModelRegistry::unbounded();
+        registry.insert(kettle(), random_model(&[5], 63));
+        let gateway = Gateway::start(registry, test_config()).expect("gateway starts");
+        let addr = gateway.addr().to_string();
+        nilm_fault::arm("conn.short_write", 0.999, 67);
+        // Both connect before either sends: connection ids follow this
+        // order on every run.
+        let clients: Vec<TcpStream> =
+            (0..2).map(|_| TcpStream::connect(&addr).expect("connect")).collect();
+        let mut bodies = vec![Vec::new(), Vec::new()];
+        for c in order {
+            let stream = &clients[c];
+            stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            let mut reader = BufReader::new(stream);
+            for _ in 0..REQUESTS {
+                (&*stream).write_all(requests[c].as_bytes()).expect("send");
+                let response = read_response(&mut reader).expect("response");
+                assert_eq!(response.status, 200, "{:?}", response.body_str());
+                bodies[c].push(response.body_str().expect("UTF-8 body").to_string());
+            }
+        }
+        nilm_fault::disarm("conn.short_write");
+        let partial_writes = counter(&metrics_doc(&addr), "partial_writes");
+        gateway.shutdown();
+        (partial_writes, bodies)
+    };
+    let first = run([0, 1]);
+    let second = run([1, 0]);
+    assert!(first.0 > 0, "p = 0.999 should force flushes short");
+    assert_eq!(first.0, second.0, "a connection's short writes must not depend on the other's");
+    assert_eq!(first.1, second.1, "short writes must not change a response byte");
+    let mut oracle = random_model(&[5], 63);
+    let expected = expected_body(&mut oracle, &households, test_config().batch_windows);
+    assert!(first.1[1].iter().all(|b| *b == expected), "responses differ from the oracle");
+}
+
+#[test]
 fn shard_panic_inside_the_gateway_retries_or_degrades() {
     let _g = faults();
     let mut registry = ModelRegistry::unbounded();

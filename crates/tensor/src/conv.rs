@@ -1,39 +1,35 @@
 //! 1-D convolution over `[batch, channels, time]` tensors.
 //!
-//! Three interchangeable compute backends:
+//! Two interchangeable compute backends:
 //!
 //! - **Naive**: the decomposition into K shifted scaled-row (axpy/dot)
-//!   operations. The correctness oracle every other path is property-tested
+//!   operations. The correctness oracle the lowered path is property-tested
 //!   against (`tests/conv_gemm_equivalence.rs`, `tests/kernel_oracle.rs`),
 //!   and the fastest option for very skinny shapes where im2col overhead
 //!   dominates.
-//! - **Gemm**: the input is lowered with [`crate::im2col`] and the forward
-//!   pass, the weight gradient and the input gradient each become one
-//!   [`crate::gemm`] call per batch group, with groups fanned out over
-//!   worker threads when the per-item work is large enough. Uses the
-//!   portable scalar microkernel.
-//! - **Simd**: the same lowering driven through the explicit
-//!   [`crate::simd`] microkernels (AVX2/FMA or NEON, runtime-detected) and
-//!   the skinny-GEMM fast path for `out_c ≤ 16` — the inference-serving
-//!   specialization. Stride-1, dilation-1 skinny convolutions (the entire
-//!   CamAL trunk) skip im2col entirely: each lowered row is a shifted
-//!   window of a once-padded input, fed to the kernel as a slice
-//!   (`Conv1d::forward_simd_direct`).
+//! - **Simd** (lowered): the input is lowered with [`crate::im2col`] and
+//!   the forward pass, the weight gradient and the input gradient each
+//!   become one [`crate::gemm`] call per batch group, with groups fanned
+//!   out over worker threads when the per-item work is large enough. The
+//!   GEMMs run the host's microkernel ([`host_kernel_mode`]). With the
+//!   explicit SIMD kernels, stride-1, dilation-1 convolutions with
+//!   `out_c ≤ 16` (the entire CamAL trunk) skip im2col entirely: each
+//!   lowered row is a shifted window of a once-padded input, fed to the
+//!   skinny kernel as a slice (`Conv1d::forward_simd_direct`).
 //!
-//! All paths accumulate every output element over `(c_in, tap)` — and the
-//! weight gradient over `(batch, t)` — in the same left-to-right order, so
-//! they are bit-identical wherever each multiply-add step fuses identically
-//! (see [`crate::simd::simd_exact`]; Naive vs Gemm is exact on every
-//! build).
+//! Both paths accumulate every output element over `(c_in, tap)` — and the
+//! weight gradient over `(batch, t)` — in the same left-to-right order, and
+//! the host microkernel fuses each multiply-add exactly as the naive path
+//! does, so the two are bit-identical on every build.
 //!
 //! Backend selection, strongest first: the per-layer override
 //! ([`Conv1d::set_backend`]), then the process-wide forced backend
-//! ([`crate::dispatch::set_forced_backend`] or `NILM_BACKEND=naive|gemm|simd`),
-//! then the [`crate::dispatch`] autotuner: the first call on a given
-//! `(out_c, batch·t_out, in_c·k, threads)` key races the candidate backends
-//! on the real workload and caches the winner for the process lifetime
-//! (shapes too small to be worth a race run naive). Only bit-identical
-//! candidates are raced, so autotuning never perturbs results.
+//! ([`crate::dispatch::set_forced_backend`] or `NILM_BACKEND`), then the
+//! [`crate::dispatch`] autotuner: the first call on a given
+//! `(out_c, batch·t_out, in_c·k, threads)` key races both backends on the
+//! real workload and caches the winner for the process lifetime (shapes
+//! too small to be worth a race run naive). The race can never perturb
+//! results.
 //!
 //! Inference finishes every output in one more memory pass, the epilogue
 //! of [`Conv1d::infer_with`]: bias add, an optional batch-norm eval map
@@ -43,7 +39,7 @@
 
 use crate::activation::{relu, ReLU};
 use crate::dispatch::{self, Backend, ShapeKey};
-use crate::gemm::{fmadd, gemm_mode, gemm_seq_mode, kernel_mode_for, KernelMode, Layout};
+use crate::gemm::{fmadd, gemm, gemm_seq, host_kernel_mode, KernelMode, Layout};
 use crate::im2col::{grad2col, im2col, weight_for_input_grad, ConvGeometry};
 use crate::init;
 use crate::layer::{Layer, Mode, Param};
@@ -231,17 +227,6 @@ impl Conv1d {
         ShapeKey::with_current_threads("conv_fwd", geo.out_c, batch * geo.t_out, geo.col_rows())
     }
 
-    /// Backends the autotuner may race: always Naive and Gemm (bit-identical
-    /// on every build); Simd only when its results are bit-identical too, so
-    /// the timing race can never change computed values.
-    fn auto_candidates() -> Vec<Backend> {
-        let mut v = vec![Backend::Naive, Backend::Gemm];
-        if crate::simd::simd_available() && crate::simd::simd_exact() {
-            v.push(Backend::Simd);
-        }
-        v
-    }
-
     /// Finishes fully accumulated outputs in one pass over each row: the
     /// bias (when present), then `bn`'s eval map, then ReLU.
     fn epilogue(&self, out: &mut Tensor, bn: Option<&BatchNorm1d>, relu: bool) {
@@ -262,12 +247,12 @@ impl Conv1d {
     /// The forward pass under `backend`, into a zeroed `out` (the naive
     /// path accumulates onto it; the lowered paths overwrite it).
     fn forward_with(&self, backend: Backend, x: &Tensor, geo: &ConvGeometry, out: &mut Tensor) {
-        match (backend, kernel_mode_for(Some(backend))) {
-            (Backend::Naive, _) => self.forward_naive(x, geo, out),
-            (_, KernelMode::Simd) if Self::direct_simd_eligible(geo) => {
+        match backend {
+            Backend::Naive => self.forward_naive(x, geo, out),
+            Backend::Simd if Self::direct_simd_eligible(geo) => {
                 self.forward_simd_direct(x, geo, out)
             }
-            (_, mode) => self.forward_gemm(x, geo, out, mode),
+            Backend::Simd => self.forward_gemm(x, geo, out),
         }
     }
 
@@ -295,7 +280,7 @@ impl Conv1d {
                 dispatch::observe(key, backend, || self.forward_with(backend, x, &geo, &mut out))
             }
             None => {
-                dispatch::autotune(key, &Self::auto_candidates(), |backend| {
+                dispatch::autotune(key, &Backend::all(), |backend| {
                     // Tuning re-runs must re-zero between candidates.
                     out.data_mut().iter_mut().for_each(|v| *v = 0.0);
                     self.forward_with(backend, x, &geo, &mut out)
@@ -425,7 +410,6 @@ impl Conv1d {
         oblk: &mut [f32],
         col: &mut Vec<f32>,
         prod: &mut Vec<f32>,
-        mode: KernelMode,
     ) {
         let (m, t, kdim) = (geo.out_c, geo.t_out, geo.col_rows());
         let gb = oblk.len() / (m * t);
@@ -435,7 +419,7 @@ impl Conv1d {
         for local in 0..gb {
             im2col(geo, x.batch_slice(b0 + local), col, n, local * t);
         }
-        gemm_seq_mode(m, n, kdim, w, Layout::Normal, col, Layout::Normal, prod, false, mode);
+        gemm_seq(m, n, kdim, w, Layout::Normal, col, Layout::Normal, prod, false);
         // Scatter [C_out, gb * T] back to batch-major [gb, C_out, T].
         for local in 0..gb {
             for co in 0..m {
@@ -445,13 +429,17 @@ impl Conv1d {
         }
     }
 
-    /// Whether [`Self::forward_simd_direct`] applies: a stride-1,
-    /// dilation-1 convolution whose output channels fit the skinny kernel
-    /// (`out_c ≤ SKINNY_MAX_M`). Under those constraints every lowered
-    /// `(c_in, tap)` row of the im2col matrix is a plain shifted window of
-    /// the zero-padded input, so the column matrix never needs to exist.
+    /// Whether [`Self::forward_simd_direct`] applies: the host runs the
+    /// SIMD microkernel and the convolution is stride-1, dilation-1 with
+    /// output channels that fit the skinny kernel (`out_c ≤ SKINNY_MAX_M`).
+    /// Under those constraints every lowered `(c_in, tap)` row of the
+    /// im2col matrix is a plain shifted window of the zero-padded input, so
+    /// the column matrix never needs to exist.
     fn direct_simd_eligible(geo: &ConvGeometry) -> bool {
-        geo.stride == 1 && geo.dilation == 1 && geo.out_c <= simd::SKINNY_MAX_M
+        host_kernel_mode() == KernelMode::Simd
+            && geo.stride == 1
+            && geo.dilation == 1
+            && geo.out_c <= simd::SKINNY_MAX_M
     }
 
     /// Direct (im2col-free) SIMD convolution: zero-pad each batch item once
@@ -503,7 +491,7 @@ impl Conv1d {
         });
     }
 
-    fn forward_gemm(&self, x: &Tensor, geo: &ConvGeometry, out: &mut Tensor, mode: KernelMode) {
+    fn forward_gemm(&self, x: &Tensor, geo: &ConvGeometry, out: &mut Tensor) {
         let (b, _, _) = x.dims3();
         let w = self.weight.value.data();
         let (m, t, kdim) = (geo.out_c, geo.t_out, geo.col_rows());
@@ -511,21 +499,12 @@ impl Conv1d {
         if group >= b {
             // Single group: run in place with the thread's reusable scratch.
             SCRATCH.with_borrow_mut(|s| {
-                Self::forward_gemm_group(
-                    w,
-                    x,
-                    geo,
-                    0,
-                    out.data_mut(),
-                    &mut s.col,
-                    &mut s.wide,
-                    mode,
-                )
+                Self::forward_gemm_group(w, x, geo, 0, out.data_mut(), &mut s.col, &mut s.wide)
             });
         } else {
             out.data_mut().par_chunks_mut(group * m * t).enumerate().for_each(|(gi, oblk)| {
                 let (mut col, mut prod) = (Vec::new(), Vec::new());
-                Self::forward_gemm_group(w, x, geo, gi * group, oblk, &mut col, &mut prod, mode);
+                Self::forward_gemm_group(w, x, geo, gi * group, oblk, &mut col, &mut prod);
             });
         }
     }
@@ -541,7 +520,6 @@ impl Conv1d {
         dblk: &mut [f32],
         gcol: &mut Vec<f32>,
         prod: &mut Vec<f32>,
-        mode: KernelMode,
     ) {
         let (in_c, t_in, gk) = (geo.in_c, geo.t_in, geo.gcol_rows());
         let gb = dblk.len() / (in_c * t_in);
@@ -551,7 +529,7 @@ impl Conv1d {
         for local in 0..gb {
             grad2col(geo, grad.batch_slice(b0 + local), gcol, n, local * t_in);
         }
-        gemm_seq_mode(in_c, n, gk, what, Layout::Normal, gcol, Layout::Normal, prod, false, mode);
+        gemm_seq(in_c, n, gk, what, Layout::Normal, gcol, Layout::Normal, prod, false);
         for local in 0..gb {
             for ci in 0..in_c {
                 let src = &prod[ci * n + local * t_in..ci * n + local * t_in + t_in];
@@ -561,14 +539,7 @@ impl Conv1d {
         }
     }
 
-    fn backward_gemm(
-        &mut self,
-        x: &Tensor,
-        grad: &Tensor,
-        geo: &ConvGeometry,
-        dx: &mut Tensor,
-        mode: KernelMode,
-    ) {
+    fn backward_gemm(&mut self, x: &Tensor, grad: &Tensor, geo: &ConvGeometry, dx: &mut Tensor) {
         let (b, _, _) = x.dims3();
         let kdim = geo.col_rows();
         let (out_c, t_out, in_c, t_in) = (geo.out_c, geo.t_out, geo.in_c, geo.t_in);
@@ -592,7 +563,7 @@ impl Conv1d {
             }
             dw.clear();
             dw.resize(out_c * kdim, 0.0);
-            gemm_mode(
+            gemm(
                 out_c,
                 kdim,
                 n_out,
@@ -602,7 +573,6 @@ impl Conv1d {
                 Layout::Transposed,
                 dw,
                 false,
-                mode,
             );
             for (g, &d) in self.weight.grad.data_mut().iter_mut().zip(dw.iter()) {
                 *g += d;
@@ -618,7 +588,7 @@ impl Conv1d {
             weight_for_input_grad(geo, self.weight.value.data(), dw);
             let group = Self::batch_groups(b, in_c * t_in * gk);
             if group >= b {
-                Self::backward_gemm_dx_group(dw, grad, geo, 0, dx.data_mut(), gcol, wide, mode);
+                Self::backward_gemm_dx_group(dw, grad, geo, 0, dx.data_mut(), gcol, wide);
             } else {
                 // Parallel groups need per-worker buffers; the allocations
                 // are amortized by the fan-out.
@@ -634,7 +604,6 @@ impl Conv1d {
                             dblk,
                             &mut gcol,
                             &mut prod,
-                            mode,
                         );
                     },
                 );
@@ -688,16 +657,11 @@ impl Layer for Conv1d {
             // Reuse the forward pass's tuned winner: backward shares its
             // arithmetic-intensity profile, and re-racing here would
             // double-accumulate the parameter gradients.
-            dispatch::cached_choice(Self::forward_key(&geo, b)).unwrap_or_else(|| {
-                match kernel_mode_for(None) {
-                    KernelMode::Simd => Backend::Simd,
-                    KernelMode::Scalar => Backend::Gemm,
-                }
-            })
+            dispatch::cached_choice(Self::forward_key(&geo, b)).unwrap_or(Backend::Simd)
         });
         match backend {
             Backend::Naive => self.backward_naive(&x, grad, &geo, &mut dx),
-            _ => self.backward_gemm(&x, grad, &geo, &mut dx, kernel_mode_for(Some(backend))),
+            Backend::Simd => self.backward_gemm(&x, grad, &geo, &mut dx),
         }
         self.cached_input = Some(x);
         dx
@@ -944,16 +908,16 @@ mod tests {
         let mut grads_n = Vec::new();
         conv.visit_params(&mut |p| grads_n.push(p.grad.clone()));
 
-        conv.set_backend(Some(Backend::Gemm));
-        let y_g = conv.forward(&x, Mode::Train);
+        conv.set_backend(Some(Backend::Simd));
+        let y_s = conv.forward(&x, Mode::Train);
         conv.zero_grad();
-        let dx_g = conv.backward(&g);
-        let mut grads_g = Vec::new();
-        conv.visit_params(&mut |p| grads_g.push(p.grad.clone()));
+        let dx_s = conv.backward(&g);
+        let mut grads_s = Vec::new();
+        conv.visit_params(&mut |p| grads_s.push(p.grad.clone()));
 
-        assert_eq!(y_n.data(), y_g.data());
-        assert_eq!(dx_n.data(), dx_g.data());
-        for (a, b) in grads_n.iter().zip(&grads_g) {
+        assert_eq!(y_n.data(), y_s.data());
+        assert_eq!(dx_n.data(), dx_s.data());
+        for (a, b) in grads_n.iter().zip(&grads_s) {
             assert_eq!(a.data(), b.data());
         }
     }
@@ -1003,42 +967,11 @@ mod tests {
                 .map(|(_, stat)| stat.calls)
                 .sum()
         };
-        dispatch::set_forced_backend(Some(Backend::Gemm));
+        dispatch::set_forced_backend(Some(Backend::Simd));
         let _ = conv.infer(&x);
-        assert_eq!((calls(Backend::Gemm), calls(Backend::Naive)), (1, 0));
+        assert_eq!((calls(Backend::Simd), calls(Backend::Naive)), (1, 0));
         conv.set_backend(Some(Backend::Naive));
         let _ = conv.infer(&x);
-        assert_eq!((calls(Backend::Gemm), calls(Backend::Naive)), (1, 1));
-    }
-
-    #[test]
-    fn simd_backend_agrees_with_naive_when_exact() {
-        if !crate::simd::simd_exact() {
-            return; // covered with a ULP budget by the oracle suite
-        }
-        let mut r = rng(9);
-        let mut conv = Conv1d::with_options(&mut r, 3, 5, 7, Padding::Same, 1, 1, true);
-        let x = init::randn_tensor(&mut r, &[2, 3, 40], 1.0);
-        let g = init::randn_tensor(&mut r, &[2, 5, 40], 1.0);
-
-        conv.set_backend(Some(Backend::Naive));
-        let y_n = conv.forward(&x, Mode::Train);
-        conv.zero_grad();
-        let dx_n = conv.backward(&g);
-        let mut grads_n = Vec::new();
-        conv.visit_params(&mut |p| grads_n.push(p.grad.clone()));
-
-        conv.set_backend(Some(Backend::Simd));
-        let y_s = conv.forward(&x, Mode::Train);
-        conv.zero_grad();
-        let dx_s = conv.backward(&g);
-        let mut grads_s = Vec::new();
-        conv.visit_params(&mut |p| grads_s.push(p.grad.clone()));
-
-        assert_eq!(y_n.data(), y_s.data());
-        assert_eq!(dx_n.data(), dx_s.data());
-        for (a, b) in grads_n.iter().zip(&grads_s) {
-            assert_eq!(a.data(), b.data());
-        }
+        assert_eq!((calls(Backend::Simd), calls(Backend::Naive)), (1, 1));
     }
 }

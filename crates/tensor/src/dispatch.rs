@@ -1,39 +1,30 @@
 //! Shape-keyed backend dispatch for the compute kernels.
 //!
-//! Three backends implement every hot operation (convolution, GEMM):
+//! Two backends implement every convolution:
 //!
 //! - [`Backend::Naive`] — the scalar reference path (shifted-axpy
-//!   convolution, scalar-microkernel GEMM). Always available, always the
-//!   correctness oracle.
-//! - [`Backend::Gemm`] — im2col + cache-blocked GEMM with the portable
-//!   (auto-vectorized) microkernel; the training workhorse.
-//! - [`Backend::Simd`] — the same lowering, but with explicit `std::arch`
-//!   microkernels (AVX2/FMA on x86-64, NEON on aarch64) selected by runtime
-//!   feature detection, plus a skinny-GEMM specialization for the
-//!   `M ≤ 16` output-channel shapes small-batch inference emits. Falls back
-//!   to the portable kernel on machines without the required ISA (see
-//!   [`crate::simd::simd_available`]).
+//!   convolution). Always available, always the correctness oracle.
+//! - [`Backend::Simd`] — the lowered path: im2col (or, for skinny
+//!   stride-1 shapes, direct shifted windows) + cache-blocked GEMM through
+//!   the host's microkernel ([`crate::gemm::host_kernel_mode`]): the
+//!   explicit `std::arch` kernels (AVX2/FMA on x86-64, NEON on aarch64)
+//!   when they are available and bit-identical to the portable chain, the
+//!   portable microkernel otherwise.
 //!
-//! One selector picks the backend, from strongest to weakest:
+//! Both are bit-identical on every build, so which one runs never changes
+//! a computed value. Plain GEMMs (linear and attention layers) have no
+//! naive twin: they always run the host's microkernel.
+//!
+//! One selector picks a convolution's backend, from strongest to weakest:
 //!
 //! 1. a per-layer override ([`crate::conv::Conv1d::set_backend`]);
 //! 2. the process-wide forced backend — [`set_forced_backend`] from code, or
-//!    the `NILM_BACKEND` environment variable (`naive|gemm|simd`, anything
-//!    else = auto) read once at first use. It reaches every convolution
-//!    without an override and every GEMM (linear and attention layers);
+//!    the `NILM_BACKEND` environment variable (`naive`, `simd` or `auto`;
+//!    any other value panics, see [`env_backend`]) read once at first use;
 //! 3. the **autotuner**: per shape key (operation, `m`, `n`, `k`, *and
 //!    worker-thread count* — single-core picks different winners than a
-//!    parallel fan-out), the first call races every candidate backend on the
-//!    real workload and caches the winner for the life of the process.
-//!    Convolutions tune; a plain GEMM with nothing forced runs the SIMD
-//!    kernels when they are available and exact, the portable ones otherwise
-//!    ([`crate::gemm::kernel_mode_for`]).
-//!
-//! The autotuner only ever races candidates that produce **bit-identical**
-//! results (callers must guarantee this; when FMA contraction makes the SIMD
-//! path differ from the scalar chain — see [`crate::simd::simd_exact`] — the
-//! SIMD backend is excluded from auto-selection and must be forced
-//! explicitly), so which candidate wins can never change computed values.
+//!    parallel fan-out), the first call races both backends on the real
+//!    workload and caches the winner for the life of the process.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -46,35 +37,27 @@ use std::time::Instant;
 pub enum Backend {
     /// Scalar reference path (the oracle).
     Naive,
-    /// im2col + blocked GEMM with the portable microkernel.
-    Gemm,
-    /// Explicit SIMD microkernels behind runtime feature detection.
+    /// Lowered convolution + blocked GEMM on the host's microkernel.
     Simd,
 }
 
 impl Backend {
     /// Every backend, in oracle-first order.
-    pub fn all() -> [Backend; 3] {
-        [Backend::Naive, Backend::Gemm, Backend::Simd]
+    pub fn all() -> [Backend; 2] {
+        [Backend::Naive, Backend::Simd]
     }
 
     /// Lower-case name used by `NILM_BACKEND` and benchmark artifacts.
     pub fn as_str(self) -> &'static str {
         match self {
             Backend::Naive => "naive",
-            Backend::Gemm => "gemm",
             Backend::Simd => "simd",
         }
     }
 
-    /// Parses a `NILM_BACKEND`-style name.
+    /// Parses a backend name (the inverse of [`Backend::as_str`]).
     pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "naive" => Some(Backend::Naive),
-            "gemm" => Some(Backend::Gemm),
-            "simd" => Some(Backend::Simd),
-            _ => None,
-        }
+        Backend::all().into_iter().find(|b| b.as_str() == s)
     }
 }
 
@@ -84,55 +67,52 @@ impl std::fmt::Display for Backend {
     }
 }
 
-/// Programmatic process-wide override (`u8::MAX` = unset).
+/// Programmatic process-wide override: a [`Backend`] discriminant, or
+/// `u8::MAX` when unset.
 static FORCED: AtomicU8 = AtomicU8::new(u8::MAX);
 
-fn encode(b: Option<Backend>) -> u8 {
-    match b {
-        None => 3,
-        Some(Backend::Naive) => 0,
-        Some(Backend::Gemm) => 1,
-        Some(Backend::Simd) => 2,
-    }
-}
-
-fn decode(v: u8) -> Option<Backend> {
-    match v {
-        0 => Some(Backend::Naive),
-        1 => Some(Backend::Gemm),
-        2 => Some(Backend::Simd),
-        _ => None,
+/// Parses a `NILM_BACKEND` value: unset or `auto` autotunes (`Ok(None)`),
+/// a backend name forces that backend, and anything else is an error that
+/// names the accepted values.
+pub fn parse_env_backend(value: Option<&str>) -> Result<Option<Backend>, String> {
+    match value {
+        None | Some("auto") => Ok(None),
+        Some(name) => Backend::parse(name).map(Some).ok_or_else(|| {
+            let accepted: Vec<_> = Backend::all().iter().map(|b| b.as_str()).collect();
+            format!("NILM_BACKEND={name:?} is not one of {} or auto", accepted.join(", "))
+        }),
     }
 }
 
 /// The backend forced by the `NILM_BACKEND` environment variable, if any
-/// (read once; `auto`, unset or unrecognized values force nothing).
+/// (read once; unset or `auto` forces nothing).
+///
+/// # Panics
+///
+/// On any other value, so a typo (or a removed backend) fails loudly
+/// instead of silently autotuning.
 pub fn env_backend() -> Option<Backend> {
     static ENV: OnceLock<Option<Backend>> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var("NILM_BACKEND").ok().as_deref().and_then(Backend::parse))
+    *ENV.get_or_init(|| {
+        let value = std::env::var("NILM_BACKEND").ok();
+        parse_env_backend(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    })
 }
 
 /// Sets (or with `None`, clears) the process-wide forced backend. A set
 /// value takes precedence over `NILM_BACKEND`; clearing restores the
 /// environment override (if present) and autotuned selection otherwise.
 pub fn set_forced_backend(backend: Option<Backend>) {
-    FORCED.store(
-        match backend {
-            None => u8::MAX,
-            some => encode(some),
-        },
-        Ordering::Relaxed,
-    );
+    FORCED.store(backend.map_or(u8::MAX, |b| b as u8), Ordering::Relaxed);
 }
 
 /// The process-wide forced backend: the programmatic override if set, else
 /// the `NILM_BACKEND` environment variable, else `None` (= autotune).
 pub fn forced_backend() -> Option<Backend> {
-    let v = FORCED.load(Ordering::Relaxed);
-    if v != u8::MAX {
-        return decode(v);
+    match Backend::all().get(FORCED.load(Ordering::Relaxed) as usize) {
+        Some(&b) => Some(b),
+        None => env_backend(),
     }
-    env_backend()
 }
 
 /// Serializes the unit tests that set the forced backend or rely on its
@@ -369,12 +349,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_round_trips_every_backend() {
+    fn two_backends_are_the_conv_race_and_round_trip_their_names() {
+        // `Conv1d` races `Backend::all()`: two candidates on every build.
+        assert_eq!(Backend::all(), [Backend::Naive, Backend::Simd]);
+        let names: Vec<_> = Backend::all().iter().map(|b| b.as_str()).collect();
+        assert_eq!(names, ["naive", "simd"]);
         for b in Backend::all() {
             assert_eq!(Backend::parse(b.as_str()), Some(b));
         }
         assert_eq!(Backend::parse("auto"), None);
-        assert_eq!(Backend::parse(""), None);
+        assert_eq!(Backend::parse("gemm"), None);
+    }
+
+    #[test]
+    fn env_parser_accepts_auto_and_the_backends_and_rejects_the_rest() {
+        assert_eq!(parse_env_backend(None), Ok(None));
+        assert_eq!(parse_env_backend(Some("auto")), Ok(None));
+        assert_eq!(parse_env_backend(Some("naive")), Ok(Some(Backend::Naive)));
+        assert_eq!(parse_env_backend(Some("simd")), Ok(Some(Backend::Simd)));
+        for bad in ["gemm", "", "SIMD", "simd "] {
+            let err = parse_env_backend(Some(bad)).unwrap_err();
+            assert!(err.contains("naive, simd or auto"), "{bad:?}: {err}");
+        }
     }
 
     #[test]
@@ -429,14 +425,14 @@ mod tests {
     fn autotune_caches_the_winner_and_reuses_it() {
         let key = ShapeKey { op: "test_autotune", m: 3, n: 3, k: 3, threads: 1 };
         let mut runs = Vec::new();
-        let choice = autotune(key, &[Backend::Naive, Backend::Gemm], |b| runs.push(b));
+        let choice = autotune(key, &Backend::all(), |b| runs.push(b));
         // Both candidates ran (warm-up + timed reps each).
-        assert!(runs.iter().any(|&b| b == Backend::Naive));
-        assert!(runs.iter().any(|&b| b == Backend::Gemm));
+        assert!(runs.contains(&Backend::Naive));
+        assert!(runs.contains(&Backend::Simd));
         assert_eq!(cached_choice(key), Some(choice));
         // Second call: cache hit, exactly one run of the winner.
         runs.clear();
-        let again = autotune(key, &[Backend::Naive, Backend::Gemm], |b| runs.push(b));
+        let again = autotune(key, &Backend::all(), |b| runs.push(b));
         assert_eq!(again, choice);
         assert_eq!(runs, vec![choice]);
     }

@@ -27,9 +27,16 @@
 //! this is what lets the property tests in `tests/conv_gemm_equivalence.rs`
 //! assert exact equality between the GEMM-lowered convolution and the
 //! shifted-axpy reference path.
+//!
+//! ## Microkernel
+//!
+//! Which microkernel runs is a property of the host, not of a backend:
+//! [`host_kernel_mode`] picks the explicit SIMD kernels exactly when they
+//! are available and bit-identical to the portable chain, and every GEMM
+//! ([`gemm`], [`gemm_seq`], the lowered convolution) runs that choice.
 
-use crate::dispatch::Backend;
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// Fused (or fused-style) multiply-add: compiles to a single FMA
 /// instruction when the target has one, and to separate multiply + add
@@ -65,29 +72,20 @@ pub enum KernelMode {
     Simd,
 }
 
-/// Maps a dispatch-layer backend choice to a kernel mode. `None` (= no
-/// forced backend) uses SIMD only when it is available **and** bit-identical
-/// to the scalar chain ([`crate::simd::simd_exact`]), so un-forced runs are
-/// always deterministic. Forcing [`Backend::Simd`] opts into the SIMD
-/// kernels whenever the ISA is there, exact or not.
-pub fn kernel_mode_for(backend: Option<Backend>) -> KernelMode {
-    match backend {
-        Some(Backend::Simd) => {
-            if crate::simd::simd_available() {
-                KernelMode::Simd
-            } else {
-                KernelMode::Scalar
-            }
+/// The microkernel this host runs, decided once per process:
+/// [`KernelMode::Simd`] when the SIMD kernels are available (not masked by
+/// `NILM_SIMD=off`) **and** bit-identical to the portable chain
+/// ([`crate::simd::simd_exact`]), [`KernelMode::Scalar`] otherwise. Either
+/// way every GEMM reproduces the naive reference bit for bit.
+pub fn host_kernel_mode() -> KernelMode {
+    static MODE: OnceLock<KernelMode> = OnceLock::new();
+    *MODE.get_or_init(|| {
+        if crate::simd::simd_available() && crate::simd::simd_exact() {
+            KernelMode::Simd
+        } else {
+            KernelMode::Scalar
         }
-        Some(_) => KernelMode::Scalar,
-        None => {
-            if crate::simd::simd_available() && crate::simd::simd_exact() {
-                KernelMode::Simd
-            } else {
-                KernelMode::Scalar
-            }
-        }
-    }
+    })
 }
 
 /// Rows of the register microtile.
@@ -128,6 +126,7 @@ pub enum Layout {
 /// operands, so `A^T · B`, `A · B^T` and `A^T · B^T` products never
 /// materialize a transposed copy. Parallelizes over row-blocks when the
 /// problem is large enough and more than one worker thread is configured.
+/// Runs the [`host_kernel_mode`] microkernel.
 pub fn gemm(
     m: usize,
     n: usize,
@@ -139,7 +138,8 @@ pub fn gemm(
     c: &mut [f32],
     accumulate: bool,
 ) {
-    gemm_mode(m, n, k, a, a_layout, b, b_layout, c, accumulate, default_mode())
+    let parallel = m * n * k >= PAR_MACS && crate::dispatch::kernel_threads() > 1 && m > MC;
+    gemm_with(m, n, k, a, a_layout, b, b_layout, c, accumulate, parallel, host_kernel_mode())
 }
 
 /// [`gemm`] forced sequential — used by callers that already parallelize at
@@ -156,49 +156,7 @@ pub fn gemm_seq(
     c: &mut [f32],
     accumulate: bool,
 ) {
-    gemm_seq_mode(m, n, k, a, a_layout, b, b_layout, c, accumulate, default_mode())
-}
-
-/// Kernel mode for callers that don't specify one: honors the process-wide
-/// forced backend (`NILM_BACKEND` / `set_forced_backend`).
-fn default_mode() -> KernelMode {
-    kernel_mode_for(crate::dispatch::forced_backend())
-}
-
-/// [`gemm`] with an explicit inner-kernel mode (the conv dispatcher passes
-/// the autotuned winner's mode here).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_mode(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_layout: Layout,
-    b: &[f32],
-    b_layout: Layout,
-    c: &mut [f32],
-    accumulate: bool,
-    mode: KernelMode,
-) {
-    let parallel = m * n * k >= PAR_MACS && crate::dispatch::kernel_threads() > 1 && m > MC;
-    gemm_with(m, n, k, a, a_layout, b, b_layout, c, accumulate, parallel, mode)
-}
-
-/// [`gemm_seq`] with an explicit inner-kernel mode.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_seq_mode(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_layout: Layout,
-    b: &[f32],
-    b_layout: Layout,
-    c: &mut [f32],
-    accumulate: bool,
-    mode: KernelMode,
-) {
-    gemm_with(m, n, k, a, a_layout, b, b_layout, c, accumulate, false, mode)
+    gemm_with(m, n, k, a, a_layout, b, b_layout, c, accumulate, false, host_kernel_mode())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -506,7 +464,6 @@ mod tests {
 
     #[test]
     fn matches_reference_across_shapes() {
-        let _unforced = crate::dispatch::lock_forced_backend();
         for &(m, n, k) in &[
             (1, 1, 1),
             (3, 5, 7),
@@ -540,7 +497,6 @@ mod tests {
 
     #[test]
     fn transposed_layouts_match_normal() {
-        let _unforced = crate::dispatch::lock_forced_backend();
         let (m, n, k) = (7, 11, 13);
         let a = fill(m * k, 6);
         let b = fill(k * n, 7);
@@ -607,48 +563,40 @@ mod tests {
         (3, NR + 3, KC + 37),
     ];
 
+    /// Runs one sequential GEMM (row-major `B`, `C` starting from `c0`) on
+    /// each microkernel and checks they agree: bit for bit when
+    /// `simd_exact()`; on a build whose scalar chain is unfused they may
+    /// differ by one rounding per multiply-add, bounded here loosely.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_modes_agree(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        a_layout: Layout,
+        b: &[f32],
+        c0: &[f32],
+        accumulate: bool,
+    ) {
+        let [c_scalar, c_simd] = [KernelMode::Scalar, KernelMode::Simd].map(|mode| {
+            let mut c = c0.to_vec();
+            gemm_with(m, n, k, a, a_layout, b, Layout::Normal, &mut c, accumulate, false, mode);
+            c
+        });
+        if crate::simd::simd_exact() {
+            assert_eq!(c_scalar, c_simd, "shape ({m},{n},{k})");
+        } else {
+            for (x, y) in c_scalar.iter().zip(&c_simd) {
+                assert!((x - y).abs() <= 1e-4, "shape ({m},{n},{k})");
+            }
+        }
+    }
+
     #[test]
     fn simd_mode_matches_scalar_mode() {
-        // When simd_exact() the two kernel modes are bit-identical; when the
-        // scalar chain is unfused they may differ by one rounding per
-        // multiply-add, bounded here loosely (the oracle tests bound it in
-        // ULP).
         for &(m, n, k) in SIMD_SHAPES {
-            let a = fill(m * k, 20);
-            let b = fill(k * n, 21);
-            let mut c_scalar = vec![0.0f32; m * n];
-            let mut c_simd = vec![0.0f32; m * n];
-            gemm_seq_mode(
-                m,
-                n,
-                k,
-                &a,
-                Layout::Normal,
-                &b,
-                Layout::Normal,
-                &mut c_scalar,
-                false,
-                KernelMode::Scalar,
-            );
-            gemm_seq_mode(
-                m,
-                n,
-                k,
-                &a,
-                Layout::Normal,
-                &b,
-                Layout::Normal,
-                &mut c_simd,
-                false,
-                KernelMode::Simd,
-            );
-            if crate::simd::simd_exact() {
-                assert_eq!(c_scalar, c_simd, "shape ({m},{n},{k})");
-            } else {
-                for (x, y) in c_scalar.iter().zip(&c_simd) {
-                    assert!((x - y).abs() <= 1e-4, "shape ({m},{n},{k})");
-                }
-            }
+            let (a, b) = (fill(m * k, 20), fill(k * n, 21));
+            assert_modes_agree(m, n, k, &a, Layout::Normal, &b, &vec![0.0; m * n], false);
         }
     }
 
@@ -665,80 +613,14 @@ mod tests {
                 at[p * m + i] = a[i * k + p];
             }
         }
-        let mut c_scalar = vec![0.0f32; m * n];
-        let mut c_simd = vec![0.0f32; m * n];
-        gemm_seq_mode(
-            m,
-            n,
-            k,
-            &at,
-            Layout::Transposed,
-            &b,
-            Layout::Normal,
-            &mut c_scalar,
-            false,
-            KernelMode::Scalar,
-        );
-        gemm_seq_mode(
-            m,
-            n,
-            k,
-            &at,
-            Layout::Transposed,
-            &b,
-            Layout::Normal,
-            &mut c_simd,
-            false,
-            KernelMode::Simd,
-        );
-        if crate::simd::simd_exact() {
-            assert_eq!(c_scalar, c_simd);
-        } else {
-            for (x, y) in c_scalar.iter().zip(&c_simd) {
-                assert!((x - y).abs() <= 1e-4);
-            }
-        }
+        assert_modes_agree(m, n, k, &at, Layout::Transposed, &b, &vec![0.0; m * n], false);
     }
 
     #[test]
     fn simd_accumulate_matches_scalar_accumulate() {
         let (m, n, k) = (8, 50, 11);
-        let a = fill(m * k, 24);
-        let b = fill(k * n, 25);
-        let base = fill(m * n, 26);
-        let mut c_scalar = base.clone();
-        let mut c_simd = base.clone();
-        gemm_seq_mode(
-            m,
-            n,
-            k,
-            &a,
-            Layout::Normal,
-            &b,
-            Layout::Normal,
-            &mut c_scalar,
-            true,
-            KernelMode::Scalar,
-        );
-        gemm_seq_mode(
-            m,
-            n,
-            k,
-            &a,
-            Layout::Normal,
-            &b,
-            Layout::Normal,
-            &mut c_simd,
-            true,
-            KernelMode::Simd,
-        );
-        if crate::simd::simd_exact() {
-            assert_eq!(c_scalar, c_simd);
-        } else {
-            for (x, y) in c_scalar.iter().zip(&c_simd) {
-                assert!((x - y).abs() <= 1e-4);
-            }
-        }
+        let (a, b) = (fill(m * k, 24), fill(k * n, 25));
+        assert_modes_agree(m, n, k, &a, Layout::Normal, &b, &fill(m * n, 26), true);
     }
 
     #[test]

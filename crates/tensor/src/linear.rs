@@ -3,11 +3,10 @@
 //! timestep of a `[batch, channels, time]` tensor (per-timestep heads of the
 //! sequence-to-sequence baselines).
 //!
-//! Both route their products through [`crate::gemm::gemm`], which consults
-//! the [`crate::dispatch`] layer for its inner kernel: forcing
-//! `NILM_BACKEND=simd` (or running un-forced on a machine where the SIMD
-//! kernels are bit-exact) moves these layers onto the explicit AVX2/NEON
-//! microkernels with no call-site changes here.
+//! Both route their products through [`crate::gemm::gemm`], which runs the
+//! host's microkernel ([`crate::gemm::host_kernel_mode`]): on a machine
+//! where the SIMD kernels are bit-exact these layers use the explicit
+//! AVX2/NEON microkernels with no call-site changes here.
 
 use crate::gemm::{gemm, Layout};
 use crate::init;

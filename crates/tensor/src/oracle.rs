@@ -1,5 +1,5 @@
 //! Kernel-oracle test harness: every compute backend is checked against the
-//! naive reference path across randomized shapes, in ULP.
+//! naive reference path across randomized shapes, bit for bit.
 //!
 //! This is the gradcheck of the dispatch layer (compare
 //! [`crate::gradcheck`], which plays the same role for backward passes):
@@ -8,48 +8,21 @@
 //! specs. The harness lives in the library (not a test file) so integration
 //! tests, property tests and downstream crates all drive one implementation.
 //!
-//! ## Tolerance model
+//! ## Exactness
 //!
-//! Backends are held to **bitwise equality** (a zero-ULP budget) whenever
-//! [`crate::simd::simd_exact`] holds — every multiply-add on both paths is
-//! fused, so reordering-free kernels must agree exactly, and any deviation
-//! is an indexing bug, not floating-point noise. When the scalar path is
-//! compiled without fused multiply-adds but the SIMD path runs (only
-//! possible by forcing `NILM_BACKEND=simd` on such a build), each of the
-//! `k` chain steps contracts differently and results drift: the budget is
-//! then [`ULP_BUDGET_FMA`] ULP, with an absolute escape of [`ABS_ESCAPE`]
-//! for near-zero outputs where cancellation makes ULP distance meaningless.
-//! [`ulp_budget`] picks the applicable budget for the current build.
+//! Backends are held to **bitwise equality**. Every kernel keeps the
+//! reference's left-to-right accumulation chain, and the host microkernel
+//! ([`crate::gemm::host_kernel_mode`]) fuses each multiply-add exactly as
+//! the reference does, so any deviation is an indexing bug, not
+//! floating-point noise. The ULP distance is reported only to make a
+//! failure legible.
 
 use crate::conv::{Conv1d, Padding};
 use crate::dispatch::Backend;
-use crate::gemm::{fmadd, gemm_seq_mode, kernel_mode_for, Layout};
+use crate::gemm::{fmadd, gemm_seq, Layout};
 use crate::init::{randn_tensor, rng};
 use crate::layer::{Layer, Mode};
 use crate::tensor::Tensor;
-
-/// ULP budget when every multiply-add is fused on both paths: none.
-pub const ULP_BUDGET_EXACT: u64 = 0;
-
-/// ULP budget when the scalar path's multiply-adds are unfused but the SIMD
-/// path's are fused (one extra rounding per k-step, amplified by up to the
-/// inner-dimension length on these kernels' shapes).
-pub const ULP_BUDGET_FMA: u64 = 64;
-
-/// Absolute-difference escape hatch used only under a nonzero ULP budget:
-/// outputs this close are accepted regardless of ULP distance (catastrophic
-/// cancellation near zero inflates ULP distance without indicating a bug).
-pub const ABS_ESCAPE: f32 = 1e-5;
-
-/// The ULP budget applicable to this build/machine: zero when backends are
-/// bit-identical, [`ULP_BUDGET_FMA`] otherwise.
-pub fn ulp_budget() -> u64 {
-    if crate::simd::simd_exact() {
-        ULP_BUDGET_EXACT
-    } else {
-        ULP_BUDGET_FMA
-    }
-}
 
 /// Distance between two floats in units of last place, via the monotone
 /// integer mapping of IEEE-754 bit patterns (adjacent representable floats
@@ -100,19 +73,13 @@ pub fn compare(got: &[f32], want: &[f32]) -> UlpReport {
     report
 }
 
-/// Whether a deviation is acceptable under `budget`: inside the ULP budget,
-/// or (only when the budget is nonzero) within [`ABS_ESCAPE`] absolutely.
-pub fn within_budget(report: &UlpReport, budget: u64) -> bool {
-    report.max_ulp <= budget || (budget > 0 && report.max_abs <= ABS_ESCAPE)
-}
-
-/// Asserts `got` matches `want` within `budget` ULP, with a diagnostic
-/// naming the worst element.
-pub fn assert_within(label: &str, got: &[f32], want: &[f32], budget: u64) {
+/// Asserts `got` equals `want` bit for bit, with a diagnostic naming the
+/// worst element.
+pub fn assert_exact(label: &str, got: &[f32], want: &[f32]) {
     let report = compare(got, want);
     assert!(
-        within_budget(&report, budget),
-        "{label}: max {} ULP (abs {:.3e}) exceeds budget {budget}; worst at {:?}",
+        report.max_ulp == 0,
+        "{label}: max {} ULP (abs {:.3e}) from the reference; worst at {:?}",
         report.max_ulp,
         report.max_abs,
         report.worst,
@@ -199,7 +166,7 @@ impl GemmSpec {
             Layout::Normal => b,
             Layout::Transposed => Self::transpose(&b, self.k, self.n),
         };
-        gemm_seq_mode(
+        gemm_seq(
             self.m,
             self.n,
             self.k,
@@ -209,23 +176,21 @@ impl GemmSpec {
             self.b_layout,
             &mut c,
             self.accumulate,
-            kernel_mode_for(Some(backend)),
         );
         c
     }
 
-    /// Asserts `backend` reproduces the reference within `budget` ULP.
-    pub fn check(&self, backend: Backend, budget: u64) {
+    /// Asserts `backend` reproduces the reference bit for bit.
+    pub fn check(&self, backend: Backend) {
         let got = self.run(backend);
         let want = self.reference();
-        assert_within(
+        assert_exact(
             &format!(
                 "gemm[{backend}] m={} n={} k={} a={:?} b={:?} acc={} seed={}",
                 self.m, self.n, self.k, self.a_layout, self.b_layout, self.accumulate, self.seed
             ),
             &got,
             &want,
-            budget,
         );
     }
 }
@@ -295,9 +260,9 @@ impl ConvSpec {
         ConvOutputs { y, dx, grads }
     }
 
-    /// Asserts `backend` reproduces [`Backend::Naive`] within `budget`
-    /// ULP on the forward output and every gradient.
-    pub fn check(&self, backend: Backend, budget: u64) {
+    /// Asserts `backend` reproduces [`Backend::Naive`] bit for bit on the
+    /// forward output and every gradient.
+    pub fn check(&self, backend: Backend) {
         let want = self.run(Backend::Naive);
         let got = self.run(backend);
         let label = format!(
@@ -313,11 +278,11 @@ impl ConvSpec {
             self.bias,
             self.seed,
         );
-        assert_within(&format!("{label} forward"), got.y.data(), want.y.data(), budget);
-        assert_within(&format!("{label} dX"), got.dx.data(), want.dx.data(), budget);
+        assert_exact(&format!("{label} forward"), got.y.data(), want.y.data());
+        assert_exact(&format!("{label} dX"), got.dx.data(), want.dx.data());
         assert_eq!(got.grads.len(), want.grads.len());
         for (i, (g, w)) in got.grads.iter().zip(&want.grads).enumerate() {
-            assert_within(&format!("{label} grad[{i}]"), g.data(), w.data(), budget);
+            assert_exact(&format!("{label} grad[{i}]"), g.data(), w.data());
         }
     }
 }
@@ -349,9 +314,9 @@ mod tests {
     }
 
     #[test]
-    fn gemm_spec_gemm_backend_is_bit_exact() {
-        // The packed scalar kernel preserves the reference chain exactly on
-        // every build (no SIMD involvement), so budget 0 applies always.
+    fn gemm_spec_simd_backend_is_bit_exact() {
+        // The host microkernel preserves the reference chain exactly on
+        // every build.
         for seed in 0..4 {
             let spec = GemmSpec {
                 m: 7,
@@ -362,12 +327,12 @@ mod tests {
                 accumulate: seed % 2 == 0,
                 seed,
             };
-            spec.check(Backend::Gemm, ULP_BUDGET_EXACT);
+            spec.check(Backend::Simd);
         }
     }
 
     #[test]
-    fn conv_spec_gemm_backend_is_bit_exact() {
+    fn conv_spec_simd_backend_is_bit_exact() {
         let spec = ConvSpec {
             in_c: 3,
             out_c: 5,
@@ -380,20 +345,6 @@ mod tests {
             bias: true,
             seed: 12,
         };
-        spec.check(Backend::Gemm, ULP_BUDGET_EXACT);
-    }
-
-    #[test]
-    fn simd_backend_stays_within_the_documented_budget() {
-        let spec = GemmSpec {
-            m: 8,
-            n: 128,
-            k: 40,
-            a_layout: Layout::Normal,
-            b_layout: Layout::Normal,
-            accumulate: false,
-            seed: 99,
-        };
-        spec.check(Backend::Simd, ulp_budget());
+        spec.check(Backend::Simd);
     }
 }

@@ -21,8 +21,7 @@
 //! everywhere when `NILM_SIMD=off` — that environment override is how CI
 //! exercises the portable-scalar fallback on machines that do have the ISA.
 //! When unavailable, every kernel falls back to scalar code with the exact
-//! per-element accumulation chain of the portable path, so forcing
-//! `Backend::Simd` is always safe, never wrong, merely not faster.
+//! per-element accumulation chain of the portable path.
 //!
 //! Every kernel preserves the crate's left-to-right `k`-chain contract (see
 //! [`crate::gemm`]): lane `j` of an accumulator register carries exactly the
@@ -39,11 +38,10 @@
 //!
 //! [`simd_exact`] reports that condition. When it is `false` (e.g. a
 //! portable x86-64 build without `-C target-feature=+fma` running on an
-//! AVX2 machine), SIMD results differ from scalar by one rounding per
-//! multiply-add — a few ULP over these inner dimensions; the oracle suite
-//! bounds it at [`crate::oracle::ULP_BUDGET_FMA`] — and the autotuner
-//! excludes the SIMD backend from automatic selection so that untuned runs
-//! stay bit-deterministic. Forcing `NILM_BACKEND=simd` remains allowed.
+//! AVX2 machine), SIMD results would differ from scalar by one rounding per
+//! multiply-add, so [`crate::gemm::host_kernel_mode`] never selects these
+//! kernels there: such a host runs the portable microkernel, and every
+//! backend stays bit-identical to the naive reference on every build.
 
 use crate::gemm::{fmadd, MR, NR};
 use std::sync::OnceLock;
@@ -83,11 +81,11 @@ pub fn simd_available() -> bool {
     })
 }
 
-/// Whether the SIMD backend produces **bit-identical** results to the
+/// Whether the SIMD kernels produce **bit-identical** results to the
 /// scalar path. True when SIMD is unavailable (the fallback *is* the scalar
 /// path) or when the scalar path's multiply-adds are themselves fused (see
-/// the module docs). When false, SIMD is excluded from autotuned selection
-/// and the oracle tests compare within a ULP budget instead of exactly.
+/// the module docs). When false, the host runs the portable microkernel
+/// ([`crate::gemm::host_kernel_mode`]).
 pub fn simd_exact() -> bool {
     if !simd_available() {
         return true;

@@ -1,7 +1,8 @@
-//! The safety net of the im2col + GEMM convolution backend: across random
-//! shapes, strides {1,2,3}, dilations {1,2,4} and all three [`Padding`]
-//! variants, the GEMM path must reproduce the shifted-axpy reference path
-//! **bit for bit** — forward output, input gradient and parameter gradients.
+//! The safety net of the lowered (im2col + GEMM) convolution backend,
+//! [`Backend::Simd`]: across random shapes, strides {1,2,3}, dilations
+//! {1,2,4} and all three [`Padding`] variants, it must reproduce the
+//! shifted-axpy reference path **bit for bit** — forward output, input
+//! gradient and parameter gradients — whichever microkernel the host runs.
 //!
 //! Exactness (not a tolerance) is possible because both backends accumulate
 //! every output element over `(c_in, tap)`, every weight-gradient element
@@ -10,16 +11,10 @@
 //! contract. A tolerance here would hide genuine indexing bugs (an
 //! off-by-one pad produces small errors on smooth random inputs).
 
-//! The SIMD backend rides the same contract: when
-//! [`nilm_tensor::simd::simd_exact`] holds (every multiply-add fused on both
-//! paths) it too must match bit for bit; otherwise it is held to the oracle's
-//! ULP budget (see `nilm_tensor::oracle`).
-
 use nilm_tensor::conv::{Conv1d, Padding};
 use nilm_tensor::dispatch::Backend;
 use nilm_tensor::init::{randn_tensor, rng};
 use nilm_tensor::layer::{Layer, Mode};
-use nilm_tensor::oracle::{assert_within, ulp_budget};
 use nilm_tensor::tensor::Tensor;
 use proptest::prelude::*;
 
@@ -52,10 +47,10 @@ fn taps_fully_outside_the_input_are_zero_not_a_panic() {
     let t_out = conv.out_len(2);
     let g = randn_tensor(&mut r, &[1, 1, t_out], 1.0);
     let (y_n, dx_n, g_n) = run_pass(&mut conv, Backend::Naive, &x, &g);
-    let (y_g, dx_g, g_g) = run_pass(&mut conv, Backend::Gemm, &x, &g);
-    assert_eq!(y_n.data(), y_g.data());
-    assert_eq!(dx_n.data(), dx_g.data());
-    for (a, b) in g_n.iter().zip(&g_g) {
+    let (y_s, dx_s, g_s) = run_pass(&mut conv, Backend::Simd, &x, &g);
+    assert_eq!(y_n.data(), y_s.data());
+    assert_eq!(dx_n.data(), dx_s.data());
+    for (a, b) in g_n.iter().zip(&g_s) {
         assert_eq!(a.data(), b.data());
     }
 }
@@ -96,34 +91,23 @@ proptest! {
         let upstream = randn_tensor(&mut r, &[batch, out_c, t_out], 1.0);
 
         let (y_n, dx_n, g_n) = run_pass(&mut conv, Backend::Naive, &x, &upstream);
-        let (y_g, dx_g, g_g) = run_pass(&mut conv, Backend::Gemm, &x, &upstream);
+        let (y_s, dx_s, g_s) = run_pass(&mut conv, Backend::Simd, &x, &upstream);
 
-        prop_assert_eq!(y_n.shape(), y_g.shape());
+        prop_assert_eq!(y_n.shape(), y_s.shape());
         prop_assert!(
-            y_n.data() == y_g.data(),
+            y_n.data() == y_s.data(),
             "forward mismatch: k={k} s={stride} d={dilation} pad={padding:?} t={t_in}"
         );
         prop_assert!(
-            dx_n.data() == dx_g.data(),
+            dx_n.data() == dx_s.data(),
             "dX mismatch: k={k} s={stride} d={dilation} pad={padding:?} t={t_in}"
         );
-        prop_assert_eq!(g_n.len(), g_g.len());
-        for (a, b) in g_n.iter().zip(&g_g) {
+        prop_assert_eq!(g_n.len(), g_s.len());
+        for (a, b) in g_n.iter().zip(&g_s) {
             prop_assert!(
                 a.data() == b.data(),
                 "param grad mismatch: k={k} s={stride} d={dilation} pad={padding:?} t={t_in}"
             );
-        }
-
-        // The SIMD consumer of the same lowering: bit-exact when the build
-        // fuses scalar multiply-adds too, within the ULP budget otherwise.
-        let (y_s, dx_s, g_s) = run_pass(&mut conv, Backend::Simd, &x, &upstream);
-        let budget = ulp_budget();
-        let label = format!("simd k={k} s={stride} d={dilation} pad={padding:?} t={t_in}");
-        assert_within(&format!("{label} forward"), y_s.data(), y_n.data(), budget);
-        assert_within(&format!("{label} dX"), dx_s.data(), dx_n.data(), budget);
-        for (i, (a, b)) in g_n.iter().zip(&g_s).enumerate() {
-            assert_within(&format!("{label} grad[{i}]"), b.data(), a.data(), budget);
         }
     }
 
@@ -156,8 +140,8 @@ proptest! {
             grads
         };
         let gn = accumulate(Backend::Naive);
-        let gg = accumulate(Backend::Gemm);
-        for (a, b) in gn.iter().zip(&gg) {
+        let gs = accumulate(Backend::Simd);
+        for (a, b) in gn.iter().zip(&gs) {
             prop_assert!(a.data() == b.data(), "accumulated grads diverged (k={k}, pad={padding:?})");
         }
     }

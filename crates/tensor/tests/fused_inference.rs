@@ -5,10 +5,10 @@
 //!
 //! The shapes reach each path the selector can take: a tiny problem below
 //! the autotune floor (naive), `out_c ≤ 16` (direct SIMD under the Simd
-//! backend), `out_c > 16` (the lowered GEMM) and a batch large enough to
-//! split into per-thread groups. Like the kernel oracle, the suite honours
-//! `NILM_BACKEND`, and CI sweeps it once per backend plus once with
-//! `NILM_SIMD=off`.
+//! backend on a SIMD host), `out_c > 16` (the lowered GEMM) and a batch
+//! large enough to split into per-thread groups. Like the kernel oracle,
+//! the suite honours `NILM_BACKEND`, and CI sweeps it once per backend plus
+//! once with `NILM_SIMD=off`.
 
 use nilm_tensor::init::{randn_tensor, rng};
 use nilm_tensor::prelude::*;

@@ -1,18 +1,18 @@
 //! Oracle-driven property suite for the dispatch layer: every compute
-//! backend must reproduce the naive reference within the documented ULP
-//! budget across randomized GEMM and convolution problems (see
-//! [`nilm_tensor::oracle`] for the harness and the tolerance model).
+//! backend must reproduce the naive reference bit for bit across randomized
+//! GEMM and convolution problems (see [`nilm_tensor::oracle`] for the
+//! harness).
 //!
 //! The suite honours `NILM_BACKEND`: when the variable forces a backend,
 //! only that backend is exercised — CI sweeps the suite once per value
-//! (`naive`, `gemm`, `simd`), plus once with `NILM_SIMD=off` to pin the
-//! portable-scalar fallback, so every dispatch path is oracle-checked on
-//! every build. Without the variable, one run covers all backends.
+//! (`naive`, `simd`), plus once with `NILM_SIMD=off` to pin the portable
+//! microkernel, so every dispatch path is oracle-checked on every build.
+//! Without the variable, one run covers both backends.
 
 use nilm_tensor::conv::Padding;
 use nilm_tensor::dispatch::{env_backend, Backend};
 use nilm_tensor::gemm::Layout;
-use nilm_tensor::oracle::{ulp_budget, ConvSpec, GemmSpec, ULP_BUDGET_EXACT};
+use nilm_tensor::oracle::{ConvSpec, GemmSpec};
 use proptest::prelude::*;
 
 /// Backends under test: the `NILM_BACKEND`-forced backend when set, every
@@ -21,16 +21,6 @@ fn backends_under_test() -> Vec<Backend> {
     match env_backend() {
         Some(b) => vec![b],
         None => Backend::all().to_vec(),
-    }
-}
-
-/// The scalar backends preserve the reference chain on every build (budget
-/// 0); the SIMD backend earns a nonzero budget only on builds whose scalar
-/// path is compiled without fused multiply-adds.
-fn budget_for(backend: Backend) -> u64 {
-    match backend {
-        Backend::Simd => ulp_budget(),
-        _ => ULP_BUDGET_EXACT,
     }
 }
 
@@ -63,7 +53,7 @@ proptest! {
     ) {
         let spec = GemmSpec { m, n, k, a_layout, b_layout, accumulate, seed };
         for backend in backends_under_test() {
-            spec.check(backend, budget_for(backend));
+            spec.check(backend);
         }
     }
 
@@ -95,7 +85,7 @@ proptest! {
             seed,
         };
         for backend in backends_under_test() {
-            spec.check(backend, budget_for(backend));
+            spec.check(backend);
         }
     }
 }
@@ -126,7 +116,7 @@ fn serving_shapes_are_oracle_checked_on_every_backend() {
                 seed: (m * 31 + n * 7 + k) as u64,
             };
             for backend in backends_under_test() {
-                spec.check(backend, budget_for(backend));
+                spec.check(backend);
             }
         }
     }
@@ -136,8 +126,8 @@ fn serving_shapes_are_oracle_checked_on_every_backend() {
 /// matrices, attention-weighted V products, the fused QKV/output projections
 /// and the encoder feed-forward — at both smoke scale (d_model 16, 2 heads,
 /// window 128/downsample 4) and paper scale (d_model 128, 8 heads, window
-/// 510/downsample 4). Pinned so `NILM_BACKEND=naive|gemm|simd` stays within
-/// budget through the attention path, not just the conv path.
+/// 510/downsample 4). Pinned so every forced backend stays bit-exact through
+/// the attention path, not just the conv path.
 #[test]
 fn attention_shapes_are_oracle_checked_on_every_backend() {
     let shapes: &[(usize, usize, usize)] = &[
@@ -165,7 +155,7 @@ fn attention_shapes_are_oracle_checked_on_every_backend() {
                 seed: (m * 131 + n * 17 + k * 3) as u64,
             };
             for backend in backends_under_test() {
-                spec.check(backend, budget_for(backend));
+                spec.check(backend);
             }
         }
     }
@@ -190,7 +180,7 @@ fn resnet_conv_geometries_are_oracle_checked() {
             seed: (in_c * 100 + out_c * 10 + k) as u64,
         };
         for backend in backends_under_test() {
-            spec.check(backend, budget_for(backend));
+            spec.check(backend);
         }
     }
 }

@@ -111,12 +111,11 @@ fn soft_label_round_trip_trains_a_baseline() {
 
 /// Serving equivalence across compute backends: the streaming service, the
 /// fleet scheduler and the HTTP gateway must each return **byte-identical**
-/// response JSON whether the kernels underneath are naive, lowered-GEMM or
-/// SIMD. The backend is flipped with [`set_forced_backend`] rather than the
+/// response JSON whether the kernels underneath are naive or lowered. The
+/// backend is flipped with [`set_forced_backend`] rather than the
 /// `NILM_BACKEND` env var (which is latched once per process); the flip is
-/// process-global, but every backend raced here is bit-identical (SIMD is
-/// included only when `simd_exact()` holds), so concurrently running tests
-/// cannot observe a numeric difference.
+/// process-global, but both backends are bit-identical on every build, so
+/// concurrently running tests cannot observe a numeric difference.
 #[test]
 fn serving_surfaces_are_backend_invariant() {
     use camal::ensemble::EnsembleMember;
@@ -225,11 +224,7 @@ fn serving_surfaces_are_backend_invariant() {
     let addr = gateway.addr().to_string();
     let request_body = localize_request(&keys, &households, Detail::Full).to_compact();
 
-    let mut backends = vec![Backend::Naive, Backend::Gemm];
-    if nilm_tensor::simd::simd_exact() {
-        backends.push(Backend::Simd);
-    }
-
+    let backends = Backend::all();
     let mut per_backend: Vec<(String, String, String)> = Vec::new();
     for &backend in &backends {
         set_forced_backend(Some(backend));
