@@ -2,8 +2,8 @@
 # CI gate for the CamAL reproduction workspace.
 #
 # Mirrors the tier-1 verify (`cargo build --release && cargo test -q`) and
-# adds formatting, full-target compilation (benches included), and warning-
-# free documentation. Run from the repository root:
+# adds formatting, full-target compilation (the gateway bench included),
+# and warning-free documentation. Run from the repository root:
 #
 #   ./ci.sh          # everything
 #   ./ci.sh quick    # skip the release build (debug build + tests only)
@@ -17,7 +17,7 @@ step() { printf '\n==> %s\n' "$*"; }
 step "cargo fmt --check"
 cargo fmt --all --check
 
-step "cargo check --workspace --all-targets (benches, bins, examples, tests)"
+step "cargo check --workspace --all-targets (bench, bins, examples, tests)"
 cargo check --workspace --all-targets
 
 if [ "$MODE" != "quick" ]; then
@@ -58,6 +58,19 @@ if [ "$MODE" != "quick" ]; then
     NILM_BACKEND=simd NILM_SIMD=off cargo test -q -p nilm_tensor --release \
         --test kernel_oracle --test conv_gemm_equivalence --test fused_inference
 
+    # The reproduction entry point: the three targets that train nothing must
+    # each write their CSV, and an unknown target must fail the run.
+    step "run_all --smoke table2_params fig9a_costs fig9b_storage (+ unknown target rejected)"
+    RA_DIR=target/ci-run-all
+    rm -rf "$RA_DIR"
+    ./target/release/run_all --smoke --out "$RA_DIR" table2_params fig9a_costs fig9b_storage
+    for T in table2_params fig9a_costs fig9b_storage; do
+        [ -s "$RA_DIR/$T.csv" ] || { echo "run_all did not write $RA_DIR/$T.csv"; exit 1; }
+    done
+    if ./target/release/run_all --smoke --out "$RA_DIR" no_such_target; then
+        echo "run_all accepted an unknown target"; exit 1
+    fi
+
     step "perf harness smoke run (validates BENCH_conv_gemm.json)"
     cargo run --release -p nilm_eval --bin bench_conv_gemm -- --smoke --out target/ci-bench
 
@@ -92,6 +105,13 @@ if [ "$MODE" != "quick" ]; then
     GW_DIR=target/ci-gateway
     rm -rf "$GW_DIR" && mkdir -p "$GW_DIR"
     ./target/release/camal_gateway train --smoke --zoo "$GW_DIR/zoo" --out "$GW_DIR"
+    # Checkpoint pin: the smoke zoo must be byte-identical to the committed
+    # digests (training is deterministic at any thread count and with SIMD
+    # on or off). A change that alters the checkpoints on purpose updates
+    # the digest file and says why in CHANGES.md.
+    diff <(cd "$GW_DIR/zoo" && sha256sum *.ckpt) crates/eval/tests/fixtures/zoo_smoke.sha256 \
+        || { echo "smoke zoo checkpoints differ from crates/eval/tests/fixtures/zoo_smoke.sha256"; exit 1; }
+    echo "zoo checkpoints match the pinned digests"
     # One in-process fleet pass over the zoo with at most one model
     # resident, so the registry's lazy load + LRU eviction path runs too.
     ./target/release/camal_gateway fleet --smoke --zoo "$GW_DIR/zoo" --max-loaded 1 --out "$GW_DIR"

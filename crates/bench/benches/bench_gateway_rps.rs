@@ -17,9 +17,11 @@
 //! cargo bench -p nilm_bench --bench bench_gateway_rps -- --smoke  # CI, seconds
 //! ```
 
+use camal::ensemble::EnsembleMember;
 use camal::fleet::{serve_fleet, FleetConfig};
 use camal::registry::{ModelKey, ModelRegistry};
 use camal::stream::HouseholdSeries;
+use camal::{CamalConfig, CamalModel};
 use nilm_data::prelude::*;
 use nilm_json::{validate, JsonValue};
 use nilm_serve::protocol::{localize_request, Detail};
@@ -35,9 +37,29 @@ fn kettle() -> ModelKey {
     ModelKey::new(DatasetId::Refit, ApplianceKind::Kettle)
 }
 
+/// A tiny untrained single-member model recorded at `window`: scheduler
+/// and gateway throughput do not depend on trained weights, so skipping
+/// training keeps the fixture instant.
+fn bench_fleet_model(window: usize, seed: u64) -> CamalModel {
+    let cfg = CamalConfig {
+        n_ensemble: 1,
+        kernels: vec![5],
+        trials: 1,
+        width_div: 16,
+        ..Default::default()
+    };
+    let mut rng = nilm_tensor::init::rng(seed);
+    let spec = nilm_models::BackboneSpec::ResNet { kernel: 5, width_div: cfg.width_div };
+    let member =
+        EnsembleMember { net: nilm_models::build_from_spec(&mut rng, spec), spec, val_loss: 0.1 };
+    let mut model = CamalModel::from_members(cfg, vec![member]);
+    model.set_window(window);
+    model
+}
+
 fn registry() -> ModelRegistry {
     let mut registry = ModelRegistry::unbounded();
-    registry.insert(kettle(), nilm_bench::bench_fleet_model(WINDOW, 17));
+    registry.insert(kettle(), bench_fleet_model(WINDOW, 17));
     registry
 }
 

@@ -1,72 +1,12 @@
 //! # nilm-bench
 //!
-//! Criterion benchmarks, one target per table/figure of the CamAL paper.
-//! Each benchmark exercises the same code path as the corresponding
-//! `nilm-eval` experiment binary at smoke scale, so `cargo bench` doubles as
-//! a performance regression suite for the reproduction.
+//! Hosts `bench_gateway_rps`, the socket-level throughput benchmark of the
+//! networked gateway (`benches/bench_gateway_rps.rs`), which writes and
+//! validates `BENCH_gateway.json`:
 //!
-//! ## Example
-//!
-//! The shared fixtures keep every bench at seconds scale:
-//!
+//! ```text
+//! cargo bench -p nilm_bench --bench bench_gateway_rps -- --smoke
 //! ```
-//! let scale = nilm_bench::bench_scale();
-//! assert_eq!((scale.epochs, scale.trials, scale.n_ensemble), (1, 1, 1));
 //!
-//! let cfg = nilm_bench::bench_camal_cfg();
-//! assert_eq!(cfg.train.epochs, 1);
-//! ```
-
-use camal::{CamalConfig, CamalModel};
-use nilm_data::prelude::*;
-use nilm_eval::runner::Scale;
-use nilm_models::TrainConfig;
-
-/// The tiniest usable experiment scale (single kernel, one epoch) —
-/// [`Scale::bench`], shared with `nilm_eval`'s `bench_conv_gemm` harness.
-pub fn bench_scale() -> Scale {
-    Scale::bench()
-}
-
-/// A CamAL configuration matching [`bench_scale`].
-pub fn bench_camal_cfg() -> CamalConfig {
-    let mut cfg = bench_scale().camal_config();
-    cfg.train = TrainConfig { epochs: 1, batch_size: 16, lr: 1e-3, clip: 0.0, seed: 1 };
-    cfg
-}
-
-/// A small REFIT kettle case shared by several benches.
-pub fn bench_case() -> CaseData {
-    let scale =
-        ScaleOverride { submetered_houses: Some(5), days_per_house: Some(2), ..Default::default() };
-    let ds = generate_dataset(&refit(), scale, 3);
-    prepare_case(&ds, ApplianceKind::Kettle, 128, &SplitConfig::default())
-}
-
-/// A pre-trained tiny CamAL model on [`bench_case`].
-pub fn bench_model(case: &CaseData) -> CamalModel {
-    CamalModel::train(&bench_camal_cfg(), &case.train, &case.val, 2)
-}
-
-/// A tiny untrained single-member model recorded at `window`, for the
-/// fleet-serving bench: scheduler throughput does not depend on trained
-/// weights, so skipping training keeps the fixture instant.
-pub fn bench_fleet_model(window: usize, seed: u64) -> CamalModel {
-    let cfg = CamalConfig {
-        n_ensemble: 1,
-        kernels: vec![5],
-        trials: 1,
-        width_div: 16,
-        ..Default::default()
-    };
-    let mut rng = nilm_tensor::init::rng(seed);
-    let spec = nilm_models::BackboneSpec::ResNet { kernel: 5, width_div: cfg.width_div };
-    let member = camal::ensemble::EnsembleMember {
-        net: nilm_models::build_from_spec(&mut rng, spec),
-        spec,
-        val_loss: 0.1,
-    };
-    let mut model = CamalModel::from_members(cfg, vec![member]);
-    model.set_window(window);
-    model
-}
+//! The paper's figures and tables are reproduced by `nilm_eval`'s `run_all`,
+//! not here.

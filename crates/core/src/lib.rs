@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod gradcam;
 pub mod postprocess;
 
 pub mod ensemble;
@@ -55,7 +54,6 @@ pub(crate) mod test_support;
 pub use config::{CamalConfig, DEFAULT_KERNELS};
 pub use ensemble::{train_ensemble, EnsembleMember, EnsembleStats};
 pub use fleet::{serve_fleet, FleetConfig, FleetError, FleetResult, FleetSummary};
-pub use gradcam::{cam_gradcam_divergence, grad_cam};
 pub use model::{report_from_status, CamalModel, CaseReport, Localization};
 pub use power::estimate_power;
 pub use registry::{ModelKey, ModelRegistry, RegistryError, RegistryStats};

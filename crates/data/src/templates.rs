@@ -104,11 +104,6 @@ impl DatasetTemplate {
     pub fn case(&self, kind: ApplianceKind) -> Option<&ApplianceCase> {
         self.cases.iter().find(|c| c.kind == kind)
     }
-
-    /// Total number of houses (submetered + possession-only).
-    pub fn total_houses(&self) -> usize {
-        self.submetered_houses + self.possession_only_houses
-    }
 }
 
 fn case(kind: ApplianceKind, on_threshold_w: f32, avg_power_w: f32) -> ApplianceCase {

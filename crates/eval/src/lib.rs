@@ -2,10 +2,11 @@
 //!
 //! The experiment harness: regenerates every table and figure of the CamAL
 //! paper's evaluation section on the synthetic dataset templates. Each
-//! experiment lives in [`experiments`] and is exposed through a binary
-//! (`cargo run -p nilm-eval --release --bin <experiment> -- [--smoke|--quick|--full]`).
+//! experiment lives in [`experiments`]; the one binary that runs them is
+//! `run_all`, with one target per output table
+//! (`cargo run -p nilm_eval --release --bin run_all -- [--smoke|--quick|--full] [TARGET...]`).
 //!
-//! | Experiment | Binary |
+//! | Experiment | `run_all` targets |
 //! |---|---|
 //! | Fig. 1 / Fig. 5 label sweep | `fig5_label_sweep` |
 //! | Table II complexity | `table2_params` |
@@ -14,18 +15,19 @@
 //! | Fig. 6(b) detection vs localization | `fig6b_det_vs_loc` |
 //! | Fig. 6(c) ensemble size | `fig6c_n_resnets` |
 //! | Table IV ablation | `table4_ablation` |
-//! | Fig. 7 scalability | `fig7_scalability` |
+//! | Fig. 7 scalability | `fig7a_train_time`, `fig7b_epoch_scaling`, `fig7c_throughput` |
 //! | Fig. 8 possession only | `fig8_possession` |
-//! | Fig. 9 costs | `fig9_costs` |
+//! | Fig. 9 costs | `fig9a_costs`, `fig9b_storage` |
 //! | Fig. 10 soft labels | `fig10_soft_labels` |
+//! | Extensions (backbone, post-processing) | `ext_backbone`, `ext_postprocess` |
 //!
 //! Beyond the figures, [`serving`] backs `camal_gateway`, the one serving
 //! binary: it trains the three-appliance demo zoo, serves it over the
 //! networked HTTP gateway ([`nilm_serve`]), drives it with the socket-level
 //! loadgen, runs in-process fleet passes, and gates all of it against one
-//! `camal::stream::serve` oracle (`demo`, `chaos`). `run_all` drives every
-//! experiment and then runs the serving demo. REPRODUCING.md at the repo
-//! root tabulates all binaries with runtimes and output schemas.
+//! `camal::stream::serve` oracle (`demo`, `chaos`). `run_all` with no target
+//! runs every experiment and then the serving demo. REPRODUCING.md at the
+//! repo root tabulates all targets with runtimes and output schemas.
 //!
 //! ## Example
 //!
@@ -49,12 +51,7 @@ pub mod runner;
 pub mod serving;
 
 use output::Table;
-use std::path::PathBuf;
-
-/// Parses `--only <case>` from CLI args.
-pub fn parse_only(args: &[String]) -> Option<String> {
-    args.iter().position(|a| a == "--only").and_then(|i| args.get(i + 1).cloned())
-}
+use std::path::{Path, PathBuf};
 
 /// Results directory (override with `--out <dir>`).
 pub fn results_dir(args: &[String]) -> PathBuf {
@@ -65,12 +62,11 @@ pub fn results_dir(args: &[String]) -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Prints a table and saves it as CSV under the results directory.
-pub fn emit(table: &Table, args: &[String], name: &str) {
+/// Prints a table and saves it as `<dir>/<name>.csv`. A failed write is
+/// returned, so a reproduction whose tables never reached disk fails.
+pub fn emit(table: &Table, dir: &Path, name: &str) -> std::io::Result<()> {
     table.print();
-    let dir = results_dir(args);
-    match table.save_csv(&dir, name) {
-        Ok(path) => println!("saved {}", path.display()),
-        Err(e) => eprintln!("could not save CSV: {e}"),
-    }
+    let path = table.save_csv(dir, name)?;
+    println!("saved {}", path.display());
+    Ok(())
 }

@@ -59,9 +59,8 @@ impl Scale {
         }
     }
 
-    /// Single-candidate, single-epoch preset (window 128, batch 16): the
-    /// fixture shared by the Criterion benches (`nilm_bench::bench_scale`)
-    /// and the `bench_conv_gemm` perf harness.
+    /// Single-candidate, single-epoch preset (window 128): the geometry of
+    /// the `bench_conv_gemm` perf harness.
     pub fn bench() -> Self {
         Scale {
             name: "bench",
@@ -74,7 +73,7 @@ impl Scale {
         }
     }
 
-    /// Minutes-scale preset: the default for the experiment binaries.
+    /// Minutes-scale preset: the default scale of `run_all`.
     pub fn quick() -> Self {
         Scale {
             name: "quick",

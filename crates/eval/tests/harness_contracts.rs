@@ -1,5 +1,6 @@
 //! Contract tests for the experiment harness: CSVs parse back, scales are
-//! consistent, and the cost model matches the paper's quoted ratios.
+//! consistent, the cost model matches the paper's quoted ratios, and the
+//! `run_all` binary fails loudly on bad targets and unsaved tables.
 
 use nilm_data::appliance::ApplianceKind;
 use nilm_data::templates::{template, DatasetId};
@@ -96,4 +97,52 @@ fn smoke_cases_cover_every_dataset_once() {
         cases.iter().map(|c| c.dataset.name()).collect();
     assert_eq!(datasets.len(), cases.len());
     assert!(cases.iter().any(|c| c.appliance == ApplianceKind::ElectricVehicle));
+}
+
+/// Runs the `run_all` binary cargo built for this test.
+fn run_all(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(args)
+        .output()
+        .expect("run_all starts")
+}
+
+#[test]
+fn run_all_writes_only_the_selected_targets() {
+    let dir = std::env::temp_dir().join(format!("run_all_targets_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = run_all(&["--smoke", "--out", dir.to_str().unwrap(), "fig9a_costs", "fig9b_storage"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(written, ["fig9a_costs.csv", "fig9b_storage.csv"]);
+}
+
+#[test]
+fn run_all_fails_when_a_table_cannot_be_saved() {
+    // `--out` names an existing regular file, so no CSV can be written.
+    let file = std::env::temp_dir().join(format!("run_all_out_file_{}", std::process::id()));
+    std::fs::write(&file, "not a directory").unwrap();
+    let out = run_all(&["--smoke", "--out", file.to_str().unwrap(), "fig9a_costs"]);
+    std::fs::remove_file(&file).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("could not save fig9a_costs.csv"), "{stderr}");
+}
+
+#[test]
+fn run_all_rejects_an_unknown_target_before_running_anything() {
+    let out = run_all(&["--smoke", "fig9a_costs", "fig7"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("fig7a_train_time"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "ran before rejecting: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }

@@ -341,13 +341,6 @@ pub fn set_context(entries: &[CtxEntry]) -> CtxGuard {
     CtxGuard { prev }
 }
 
-/// True when tracing is on **and** the current thread carries a context —
-/// the cheap pre-check for optional instrumentation like kernel spans.
-#[inline]
-pub fn in_context() -> bool {
-    enabled() && CTX.with(|c| !c.borrow().is_empty())
-}
-
 /// Context entries a [`SpanHandle`] keeps inline before spilling to the
 /// heap — covers every coalesced batch the gateway produces in practice,
 /// so the scoped-span hot path allocates nothing.

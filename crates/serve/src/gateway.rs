@@ -370,11 +370,6 @@ impl Gateway {
         self.shared.addr
     }
 
-    /// True once shutdown has been requested (locally or over HTTP).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Requests shutdown and joins every server thread: the reactor first
     /// (it closes the listener, drains live connections bounded by their
     /// deadlines, then exits), then the worker pool (its channel closed

@@ -129,11 +129,6 @@ impl Event {
     pub fn writable(&self) -> bool {
         self.readiness & (events::OUT | events::HUP | events::ERR) != 0
     }
-
-    /// Peer hung up (full close or write-half shutdown).
-    pub fn hangup(&self) -> bool {
-        self.readiness & (events::HUP | events::RDHUP | events::ERR) != 0
-    }
 }
 
 /// An epoll instance. Closes the epoll fd on drop; registered fds are

@@ -182,11 +182,6 @@ impl Conv1d {
         self.out_c
     }
 
-    /// Number of input channels.
-    pub fn in_channels(&self) -> usize {
-        self.in_c
-    }
-
     /// Kernel size.
     pub fn kernel(&self) -> usize {
         self.k

@@ -41,16 +41,6 @@ impl Linear {
     pub fn weight(&self) -> &Tensor {
         &self.weight.value
     }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_f
-    }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_f
-    }
 }
 
 impl Layer for Linear {

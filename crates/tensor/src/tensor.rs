@@ -158,13 +158,6 @@ impl Tensor {
         Tensor { data: self.data.clone(), shape: shape.to_vec() }
     }
 
-    /// Reshapes in place without copying.
-    pub fn reshape_inplace(&mut self, shape: &[usize]) {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.len(), "cannot reshape {:?} into {:?}", self.shape, shape);
-        self.shape = shape.to_vec();
-    }
-
     /// Resizes the tensor to `shape`, reusing the existing allocation when
     /// capacity allows. Contents are unspecified afterwards — this is the
     /// primitive behind reusable batch scratch buffers.

@@ -1,6 +1,6 @@
 //! Smoke-runs every experiment module so the reproduction suite cannot rot.
-//! Each test uses the tiniest possible scale; the full runs live behind the
-//! `nilm-eval` binaries.
+//! Each test uses the tiniest possible scale; the full runs are the targets
+//! of `nilm_eval`'s `run_all` binary.
 
 use nilm_eval::experiments;
 use nilm_eval::runner::Scale;
