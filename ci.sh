@@ -48,7 +48,8 @@ if [ "$MODE" != "quick" ]; then
     # exact SIMD kernels runs, and what the removed `gemm` backend selected:
     # the lowered convolution plus the portable microkernel, forward,
     # backward and plain GEMM. `fused_inference` pins the fused conv + BN +
-    # ReLU inference epilogue to the unfused chain on each of those paths.
+    # ReLU block (the inference epilogue and the train-mode forward and
+    # backward) to the unfused chain on each of those paths.
     for BK in naive simd; do
         step "kernel oracle sweep: NILM_BACKEND=$BK"
         NILM_BACKEND=$BK cargo test -q -p nilm_tensor --release \
@@ -100,6 +101,19 @@ if [ "$MODE" != "quick" ]; then
     # release is the production code path the byte-equality claim is about.
     step "cargo test -p nilm_serve --release (gateway concurrency + HTTP edge cases)"
     cargo test -q -p nilm_serve --release
+
+    # The smoke zoo checkpoint pin (see the gateway smoke below, which runs it
+    # at the default width) on one core and oversubscribed at four:
+    # Algorithm 1 runs one candidate per worker on serial kernels, or one
+    # worker whose kernels fan out, and neither split may change a bit.
+    for T in 1 4; do
+        step "smoke zoo digest gate RAYON_NUM_THREADS=$T"
+        ZOO_T="target/ci-zoo-threads-$T"
+        rm -rf "$ZOO_T" && mkdir -p "$ZOO_T"
+        RAYON_NUM_THREADS=$T ./target/release/camal_gateway train --smoke --zoo "$ZOO_T/zoo" --out "$ZOO_T"
+        diff <(cd "$ZOO_T/zoo" && sha256sum *.ckpt) crates/eval/tests/fixtures/zoo_smoke.sha256 \
+            || { echo "RAYON_NUM_THREADS=$T smoke zoo differs from zoo_smoke.sha256"; exit 1; }
+    done
 
     step "camal_gateway smoke: ephemeral-port serve -> curl round-trip -> graceful shutdown"
     GW_DIR=target/ci-gateway

@@ -6,7 +6,7 @@
 //! trained on an 80% sub-split of the training windows (cross-entropy on
 //! the weak labels); candidates are ranked by loss on the validation set
 //! and the best `n` are kept, regardless of family. Candidate training runs
-//! on parallel threads.
+//! on parallel threads, each on serial kernels.
 
 use crate::config::CamalConfig;
 use nilm_data::windows::WindowSet;
@@ -110,7 +110,11 @@ pub fn eval_loss(net: &dyn Detector, data: &WindowSet, batch: usize) -> f32 {
 /// plus run statistics.
 ///
 /// `threads` caps the number of concurrently training candidates
-/// (1 = sequential, useful for timing experiments).
+/// (1 = sequential, useful for timing experiments). Training uses one level
+/// of parallelism: with more than one worker every candidate runs its
+/// kernels serially ([`nilm_tensor::dispatch::with_serial_kernels`]), and a
+/// single worker lets each kernel fan out over the pool instead. Either way
+/// the members are bit-identical.
 pub fn train_ensemble(
     cfg: &CamalConfig,
     train_set: &WindowSet,
@@ -162,25 +166,29 @@ pub fn train_ensemble(
     // its (kernel, trial) salt and results land in per-job slots, so the
     // outcome is identical for any thread count.
     let threads = threads.max(1).min(jobs.len().max(1));
+    // One level of parallelism: with several workers the candidates already
+    // occupy the cores, so each trains on serial kernels (as fleet shards
+    // do); a lone worker keeps the kernels' own fan-out.
+    let run_job = |spec, salt| {
+        let train = || train_candidate(spec, cfg, &train_sub, val_set, cfg.seed ^ salt);
+        if threads > 1 {
+            nilm_tensor::dispatch::with_serial_kernels(train)
+        } else {
+            train()
+        }
+    };
     let slots: Mutex<Vec<Option<(BackboneSpec, Box<dyn Detector>, f32, f64)>>> =
         Mutex::new((0..jobs.len()).map(|_| None).collect());
     let next_job = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let cfg_ref = &*cfg;
-            let train_ref = &train_sub;
-            let val_ref = val_set;
-            let jobs_ref = &jobs;
-            let slots_ref = &slots;
-            let next_ref = &next_job;
-            scope.spawn(move || loop {
-                let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                let Some(&(spec, salt)) = jobs_ref.get(i) else {
+            scope.spawn(|| loop {
+                let i = next_job.fetch_add(1, Ordering::Relaxed);
+                let Some(&(spec, salt)) = jobs.get(i) else {
                     break;
                 };
-                let (net, loss, secs) =
-                    train_candidate(spec, cfg_ref, train_ref, val_ref, cfg_ref.seed ^ salt);
-                slots_ref.lock().expect("result slots poisoned")[i] = Some((spec, net, loss, secs));
+                let (net, loss, secs) = run_job(spec, salt);
+                slots.lock().expect("result slots poisoned")[i] = Some((spec, net, loss, secs));
             });
         }
     });
@@ -291,6 +299,34 @@ mod tests {
         };
         assert_eq!(summary(&m1), summary(&m4), "selection depends on thread count");
         for (mut a, mut b) in m1.into_iter().zip(m4) {
+            assert_eq!(a.net.save_state(), b.net.save_state(), "member weights differ");
+        }
+    }
+
+    #[test]
+    fn several_workers_train_on_serial_kernels() {
+        // One level of parallelism: with two workers every convolution of
+        // every candidate runs on one kernel thread, and the members equal
+        // the single-worker run's (whose kernels fan out). No other test
+        // uses this window length, so the kernel-table rows with
+        // `n = batch · WINDOW` (batch ≤ 8) are this test's alone.
+        const WINDOW: usize = 41;
+        let train = toy_set(16, WINDOW, 31);
+        let val = toy_set(8, WINDOW, 32);
+        let cfg = fast_cfg();
+        let (m2, s2) = train_ensemble(&cfg, &train, &val, 2);
+        let rows: Vec<_> = nilm_obs::kernel::stats()
+            .into_iter()
+            .filter(|(k, _)| k.op == "conv_fwd" && k.n % WINDOW == 0 && k.n <= 8 * WINDOW)
+            .collect();
+        assert!(!rows.is_empty(), "no conv_fwd row at window {WINDOW}");
+        for (key, _) in &rows {
+            assert_eq!(key.threads, 1, "a candidate's kernel fanned out: {key:?}");
+        }
+        let (m1, s1) = train_ensemble(&cfg, &train, &val, 1);
+        assert_eq!(s1.selected_losses, s2.selected_losses);
+        for (mut a, mut b) in m1.into_iter().zip(m2) {
+            assert_eq!((a.spec, a.val_loss.to_bits()), (b.spec, b.val_loss.to_bits()));
             assert_eq!(a.net.save_state(), b.net.save_state(), "member weights differ");
         }
     }

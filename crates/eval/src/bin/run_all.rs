@@ -8,9 +8,10 @@
 //!
 //! Each target is one output table, named by its CSV stem (`table3_weak`,
 //! `fig7a_train_time`, ...; REPRODUCING.md lists them). `--only CASE`
-//! restricts Fig. 5 to one `dataset:appliance` case. `--runs N` sets how
-//! many runs Tables III and IV average over; the default is 1, or the
-//! paper's 5 (Table III) and 10 (Table IV) at `--full`.
+//! restricts Fig. 5 to one `dataset:appliance` case of the chosen scale.
+//! `--runs N` sets how many runs Tables III and IV average over; the
+//! default is 1, or the paper's 5 (Table III) and 10 (Table IV) at
+//! `--full`.
 //!
 //! With no target, every table is produced and then the serving demo
 //! (`camal_gateway demo`) runs, so the "run everything" entry point also
@@ -96,6 +97,16 @@ fn parse(args: &[String]) -> Result<Plan, String> {
                     ));
                 }
             },
+        }
+    }
+    if let Some(only) = &only {
+        let labels: Vec<String> = scale.cases().iter().map(|c| c.label()).collect();
+        if !labels.contains(only) {
+            return Err(format!(
+                "--only {only:?} is not a {} case; valid cases: {}",
+                scale.name,
+                labels.join(", ")
+            ));
         }
     }
     let full = scale.name == "full";
@@ -197,6 +208,19 @@ mod tests {
         for (name, _) in TARGETS {
             assert!(err.contains(name), "{err} does not list {name}");
         }
+    }
+
+    #[test]
+    fn only_must_name_a_case_of_the_chosen_scale() {
+        let err = plan(&["--smoke", "--only", "nope:nope", "fig5_label_sweep"]).err().unwrap();
+        assert!(err.contains("\"nope:nope\""), "{err}");
+        for case in Scale::smoke().cases() {
+            assert!(err.contains(&case.label()), "{err} does not list {}", case.label());
+        }
+        // `ukdale:kettle` is a Table III case, but not one of smoke's.
+        assert!(plan(&["--smoke", "--only", "ukdale:kettle"]).is_err());
+        assert!(plan(&["--quick", "--only", "ukdale:kettle"]).is_ok());
+        assert!(plan(&["--smoke", "--only", "ukdale:dishwasher"]).is_ok());
     }
 
     #[test]

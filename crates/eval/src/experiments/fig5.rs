@@ -4,9 +4,7 @@
 //! methods spend `window_len` labels per window.
 
 use crate::output::{f3, Table};
-use crate::runner::{
-    all_cases, build_case_data, run_baseline, run_camal, smoke_cases, Case, Scale,
-};
+use crate::runner::{build_case_data, run_baseline, run_camal, Case, Scale};
 use nilm_data::pipeline::CaseData;
 use nilm_models::baselines::BaselineKind;
 use nilm_models::co::CoDisaggregator;
@@ -37,10 +35,8 @@ fn clamp_train(data: &CaseData, budget: usize, seed: u64) -> CaseData {
 
 /// Runs the label sweep. `only` filters cases by `dataset:appliance` label.
 pub fn run(scale: &Scale, only: Option<&str>) -> Table {
-    let cases: Vec<Case> = if scale.name == "smoke" { smoke_cases() } else { all_cases() }
-        .into_iter()
-        .filter(|c| only.is_none_or(|o| c.label() == o))
-        .collect();
+    let cases: Vec<Case> =
+        scale.cases().into_iter().filter(|c| only.is_none_or(|o| c.label() == o)).collect();
     assert!(!cases.is_empty(), "no case matches filter {only:?}");
 
     let mut table = Table::new(

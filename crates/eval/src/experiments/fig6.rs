@@ -2,9 +2,7 @@
 //! localization correlation, (c) ensemble-size ablation.
 
 use crate::output::{f3, Table};
-use crate::runner::{
-    all_cases, build_case_data, case_avg_power, run_camal, smoke_cases, Case, Scale,
-};
+use crate::runner::{all_cases, build_case_data, case_avg_power, run_camal, Case, Scale};
 use camal::CamalModel;
 use nilm_data::appliance::ApplianceKind;
 use nilm_data::pipeline::{prepare_case, CaseData, SplitConfig};
@@ -21,10 +19,7 @@ pub fn run_window_length(scale: &Scale) -> Table {
     };
     let cases: Vec<Case> = [DatasetId::UkDale, DatasetId::Refit]
         .iter()
-        .flat_map(|&d| {
-            let pool = if scale.name == "smoke" { smoke_cases() } else { all_cases() };
-            pool.into_iter().filter(move |c| c.dataset == d)
-        })
+        .flat_map(|&d| scale.cases().into_iter().filter(move |c| c.dataset == d))
         .collect();
     let mut table = Table::new(
         "Fig. 6(a) — impact of training window length on localization F1",
@@ -67,7 +62,7 @@ pub fn run_window_length(scale: &Scale) -> Table {
 /// Fig. 6(b): scatter of detection (balanced accuracy) against localization
 /// (F1) across all cases.
 pub fn run_detection_vs_localization(scale: &Scale) -> Table {
-    let cases = if scale.name == "smoke" { smoke_cases() } else { all_cases() };
+    let cases = scale.cases();
     let mut table = Table::new(
         "Fig. 6(b) — detection (balanced accuracy) vs localization (F1)",
         &["case", "balanced_accuracy", "f1"],
@@ -158,7 +153,7 @@ mod tests {
     #[test]
     fn det_vs_loc_covers_smoke_cases() {
         let table = run_detection_vs_localization(&tiny_scale());
-        assert_eq!(table.rows.len(), smoke_cases().len());
+        assert_eq!(table.rows.len(), crate::runner::smoke_cases().len());
         for row in &table.rows {
             let ba: f64 = row[1].parse().unwrap();
             assert!((0.0..=1.0).contains(&ba));

@@ -3,7 +3,7 @@
 //! plus the cross-case average row.
 
 use crate::output::{f1 as fmt1, f3, Table};
-use crate::runner::{all_cases, build_case_data, run_baseline, run_camal, smoke_cases, Scale};
+use crate::runner::{build_case_data, run_baseline, run_camal, Scale};
 use nilm_models::baselines::BaselineKind;
 
 /// Accumulates the paper's "Avg." row.
@@ -34,7 +34,7 @@ impl Averager {
 /// Runs the weakly supervised comparison over `runs` random seeds
 /// (the paper averages 5 runs).
 pub fn run(scale: &Scale, runs: usize) -> Table {
-    let cases = if scale.name == "smoke" { smoke_cases() } else { all_cases() };
+    let cases = scale.cases();
     let mut table = Table::new(
         "Table III — weakly supervised comparison (CamAL vs CRNN Weak)",
         &[

@@ -107,6 +107,16 @@ impl Scale {
         }
     }
 
+    /// The evaluation cases this scale runs: one per dataset at smoke
+    /// scale, all of Table III's otherwise.
+    pub fn cases(&self) -> Vec<Case> {
+        if self.name == "smoke" {
+            smoke_cases()
+        } else {
+            all_cases()
+        }
+    }
+
     /// Parses `--smoke` / `--quick` / `--full` from CLI args (default quick).
     pub fn from_args(args: &[String]) -> Self {
         if args.iter().any(|a| a == "--smoke") {

@@ -146,3 +146,30 @@ fn run_all_rejects_an_unknown_target_before_running_anything() {
         String::from_utf8_lossy(&out.stdout)
     );
 }
+
+#[test]
+fn run_all_rejects_an_only_case_outside_the_scale_before_running_anything() {
+    let dir = std::env::temp_dir().join(format!("run_all_only_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // `ukdale:kettle` is a Table III case but not a smoke one.
+    for only in ["nope:nope", "ukdale:kettle"] {
+        let out = run_all(&[
+            "--smoke",
+            "--out",
+            dir.to_str().unwrap(),
+            "--only",
+            only,
+            "table2_params",
+            "fig5_label_sweep",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{only}: {stderr}");
+        assert!(stderr.contains(only) && stderr.contains("refit:kettle"), "{stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{only}: ran before rejecting: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(!dir.join("table2_params.csv").exists(), "{only}: wrote a table");
+    }
+}

@@ -10,6 +10,16 @@ pub fn relu(v: f32) -> f32 {
     v.max(0.0)
 }
 
+/// Scalar ReLU gradient: `g` where the forward input was positive (`keep`),
+/// else `+0.0`. The one formula behind [`ReLU`]'s backward and the fused
+/// batch-norm backward of [`crate::conv::ConvBn`]. Written as a bit mask so
+/// it never compiles to a branch, which a mask of random signs would
+/// mispredict about every other element.
+#[inline(always)]
+pub(crate) fn relu_grad(g: f32, keep: bool) -> f32 {
+    f32::from_bits(g.to_bits() & (keep as u32).wrapping_neg())
+}
+
 /// Rectified linear unit: `max(0, x)`.
 #[derive(Default)]
 pub struct ReLU {
@@ -31,8 +41,7 @@ impl Layer for ReLU {
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         assert_eq!(grad.len(), self.mask.len(), "ReLU backward before forward");
-        let data =
-            grad.data().iter().zip(&self.mask).map(|(&g, &m)| if m { g } else { 0.0 }).collect();
+        let data = grad.data().iter().zip(&self.mask).map(|(&g, &m)| relu_grad(g, m)).collect();
         Tensor::from_vec(data, grad.shape())
     }
 }

@@ -695,10 +695,18 @@ fn map_row(row: &mut [f32], with_relu: bool, f: impl Fn(f32) -> f32) {
 /// Convolution, batch normalization and an optional ReLU: the conv block of
 /// the paper's ResNet.
 ///
-/// Train and eval forwards (and backward) chain the three layers exactly as
-/// a `Sequential` of them would. Inference — [`Layer::infer`] and
-/// `forward(.., Mode::Infer)` — runs [`Conv1d::infer_with`] instead: one
-/// kernel plus one epilogue pass per output, bit-identical to the chain.
+/// Every path is bit-identical to a `Sequential` of `Conv1d`,
+/// `BatchNorm1d` and `ReLU`, with fewer memory passes:
+///
+/// - Inference — [`Layer::infer`] and `forward(.., Mode::Infer)` — runs
+///   [`Conv1d::infer_with`]: one kernel plus one epilogue pass per output.
+/// - Train and eval forwards run the convolution's own forward, then batch
+///   norm and ReLU in place over its output: one statistics read (train
+///   mode) and one pass per row that writes x̂, the output and the ReLU mask.
+/// - Backward applies the ReLU mask inside batch norm's gradient reduction,
+///   writes the batch-norm input gradient in a second pass, and hands it to
+///   the convolution's backward.
+///
 /// State is visited conv first, then batch norm, and the constructor draws
 /// from the RNG exactly as `Conv1d::new` alone does, so checkpoints and
 /// trained weights match the unfused `Sequential` layout.
@@ -742,11 +750,9 @@ impl Layer for ConvBn {
             }
             return self.infer(x);
         }
-        let y = self.bn.forward(&self.conv.forward(x, mode), mode);
-        match &mut self.relu {
-            Some(r) => r.forward(&y, mode),
-            None => y,
-        }
+        let mut y = self.conv.forward(x, mode);
+        self.bn.forward_in_place(&mut y, mode, self.relu.as_mut().map(|r| &mut r.mask));
+        y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
@@ -754,8 +760,7 @@ impl Layer for ConvBn {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let g = self.relu.as_mut().map(|r| r.backward(grad));
-        let g = self.bn.backward(g.as_ref().unwrap_or(grad));
+        let g = self.bn.backward_masked(grad, self.relu.as_ref().map(|r| r.mask.as_slice()));
         self.conv.backward(&g)
     }
 

@@ -141,7 +141,9 @@ thread_local! {
 /// (`rayon::current_num_threads()`, i.e. `RAYON_NUM_THREADS` or the core
 /// count), or 1 inside [`with_serial_kernels`]. The convolution batch
 /// split, the GEMM row-block split and [`ShapeKey`] all read this one
-/// value, so a kernel never fans out where its caller already did.
+/// value, so a kernel never fans out where its caller already did: the
+/// process uses one level of parallelism at a time, either across work
+/// items (fleet shards, Algorithm 1 candidates) or inside the kernels.
 pub fn kernel_threads() -> usize {
     if SERIAL.with(Cell::get) {
         1
@@ -151,9 +153,12 @@ pub fn kernel_threads() -> usize {
 }
 
 /// Runs `f` with [`kernel_threads`] pinned to 1 on the calling thread: the
-/// caller has already split the work across the cores (a fleet pass runs
-/// one household shard per core), so a nested fan-out would only add
-/// thread spawns.
+/// caller has already split the work across the cores, so a nested fan-out
+/// would only add thread spawns, oversubscribed cores and fresh per-thread
+/// scratch. Two callers do: a fleet pass runs one household shard per core
+/// (through [`fan_out`]), and `camal::ensemble::train_ensemble` trains one
+/// Algorithm 1 candidate per worker. Results do not depend on it: every
+/// kernel is bit-identical at any width.
 pub fn with_serial_kernels<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {

@@ -1,15 +1,20 @@
 //! Normalization layers: per-channel batch normalization for conv stacks and
 //! per-position layer normalization for transformer blocks.
 
+use crate::activation::{relu, relu_grad};
 use crate::layer::{Layer, Mode, Param};
 use crate::tensor::Tensor;
 
+/// Partial accumulators per batch-norm reduction: eight lanes per sum so
+/// the reduction vectorizes (a single scalar accumulator is a serial
+/// dependency chain the compiler cannot widen). Element `i` of a row's full
+/// 8-chunks lands in lane `i % 8`, the remainder in lane 0, rows in batch
+/// order.
+const LANES: usize = 8;
+
 /// Lane-wise `(Σx, Σx²)` over rows of a `[batch, channels, time]` tensor
-/// for one channel: eight partial accumulators per statistic so the
-/// reduction vectorizes (a single scalar accumulator is a serial
-/// dependency chain the compiler cannot widen).
+/// for one channel.
 fn channel_sums(x: &Tensor, b: usize, ci: usize) -> (f32, f32) {
-    const LANES: usize = 8;
     let mut s = [0.0f32; LANES];
     let mut q = [0.0f32; LANES];
     for bi in 0..b {
@@ -27,6 +32,37 @@ fn channel_sums(x: &Tensor, b: usize, ci: usize) -> (f32, f32) {
         }
     }
     (s.iter().sum(), q.iter().sum())
+}
+
+/// Adds one row's `(Σdy, Σdy·x̂)` into the lane accumulators, in
+/// [`channel_sums`]' lane order. `dy` is the upstream gradient `gr`, masked
+/// by the ReLU mask `mr` when `MASKED` (`mr` is not read otherwise;
+/// `relu_grad(g, true)` is `g` bit for bit).
+#[inline(always)]
+fn grad_sums<const MASKED: bool>(
+    gr: &[f32],
+    hr: &[f32],
+    mr: &[bool],
+    s: &mut [f32; LANES],
+    q: &mut [f32; LANES],
+) {
+    let mut gc = gr.chunks_exact(LANES);
+    let mut hc = hr.chunks_exact(LANES);
+    let mut mc = mr.chunks_exact(LANES);
+    for (gch, hch) in (&mut gc).zip(&mut hc) {
+        let mch = if MASKED { mc.next().expect("mask covers the row") } else { &[true; LANES] };
+        for l in 0..LANES {
+            let gy = relu_grad(gch[l], mch[l]);
+            s[l] += gy;
+            q[l] += gy * hch[l];
+        }
+    }
+    let mrem = if MASKED { mc.remainder() } else { &[] };
+    for (i, (&g, &h)) in gc.remainder().iter().zip(hc.remainder()).enumerate() {
+        let gy = relu_grad(g, !MASKED || mrem[i]);
+        s[0] += gy;
+        q[0] += gy * h;
+    }
 }
 
 /// One channel's eval-mode batch-norm map: `γ · ((v − mean) · inv_std) + β`
@@ -98,32 +134,38 @@ impl BatchNorm1d {
             beta: self.beta.value.data()[ci],
         }
     }
-}
 
-impl Layer for BatchNorm1d {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let (b, c, t) = x.dims3();
+    /// The caching (train or eval) forward over `y` in place, followed by a
+    /// ReLU when `relu_mask` is given, which then records the ReLU's
+    /// gradient mask. Per channel: train mode takes the batch statistics in
+    /// one [`channel_sums`] read and folds them into the running ones, eval
+    /// mode reads the running ones; then one pass per row writes x̂, the
+    /// output and the mask. Per element that is `h = (v - mean) * inv_std;
+    /// o = g * h + be; o = o.max(0.0)`, the unfused `BatchNorm1d` → `ReLU`
+    /// chain's exact operations in the same order.
+    pub(crate) fn forward_in_place(
+        &mut self,
+        y: &mut Tensor,
+        mode: Mode,
+        mut relu_mask: Option<&mut Vec<bool>>,
+    ) {
+        debug_assert!(mode.caches_for_backward(), "an Infer forward caches nothing");
+        let (b, c, t) = y.dims3();
         assert_eq!(c, self.channels, "BatchNorm1d expected {} channels, got {c}", self.channels);
         let n = (b * t) as f32;
         self.last_mode = mode;
-
-        if mode == Mode::Infer {
-            // Backward after an `Infer` forward is a contract violation and
-            // panics on the missing cache.
-            self.xhat = None;
-            return self.infer(x);
-        }
-
-        // Reuse the previous call's cache allocation; contents are fully
+        // Reuse the previous call's cache allocations; contents are fully
         // overwritten below.
         let mut xhat = self.xhat.take().unwrap_or_else(|| Tensor::zeros(&[0]));
         xhat.resize(&[b, c, t]);
-        let mut out = Tensor::zeros(&[b, c, t]);
-
+        if let Some(mask) = relu_mask.as_deref_mut() {
+            mask.clear();
+            mask.resize(y.len(), false);
+        }
         for ci in 0..c {
             let (mean, var) = match mode {
                 Mode::Train => {
-                    let (sum, sumsq) = channel_sums(x, b, ci);
+                    let (sum, sumsq) = channel_sums(y, b, ci);
                     let mean = sum / n;
                     let var = (sumsq / n - mean * mean).max(0.0);
                     let rm = &mut self.running_mean.data_mut()[ci];
@@ -132,7 +174,6 @@ impl Layer for BatchNorm1d {
                     *rv = (1.0 - self.momentum) * *rv + self.momentum * var;
                     (mean, var)
                 }
-                // `Infer` returned above; listed only for exhaustiveness.
                 Mode::Eval | Mode::Infer => {
                     (self.running_mean.data()[ci], self.running_var.data()[ci])
                 }
@@ -142,18 +183,108 @@ impl Layer for BatchNorm1d {
             let g = self.gamma.value.data()[ci];
             let be = self.beta.value.data()[ci];
             for bi in 0..b {
-                let xr = x.row(bi, ci);
-                let xh = xhat.row_mut(bi, ci);
-                for (h, &v) in xh.iter_mut().zip(xr) {
-                    *h = (v - mean) * inv_std;
-                }
-                let or = out.row_mut(bi, ci);
-                for (o, &h) in or.iter_mut().zip(xhat.row(bi, ci)) {
-                    *o = g * h + be;
+                let row = (bi * c + ci) * t..(bi * c + ci + 1) * t;
+                let rows =
+                    y.data_mut()[row.clone()].iter_mut().zip(&mut xhat.data_mut()[row.clone()]);
+                match relu_mask.as_deref_mut() {
+                    None => rows.for_each(|(o, h)| {
+                        *h = (*o - mean) * inv_std;
+                        *o = g * *h + be;
+                    }),
+                    Some(mask) => rows.zip(&mut mask[row]).for_each(|((o, h), m)| {
+                        *h = (*o - mean) * inv_std;
+                        let v = g * *h + be;
+                        *m = v > 0.0;
+                        *o = relu(v);
+                    }),
                 }
             }
         }
         self.xhat = Some(xhat);
+    }
+
+    /// Backward of [`Self::forward_in_place`]: the input gradient. With
+    /// `relu_mask` the ReLU's gradient mask is applied to `grad` as it is
+    /// read, both in the `Σdy` / `Σdy·x̂` reduction and in the pass that
+    /// writes dX, so no masked-gradient tensor is built; the values, and the
+    /// order they are summed in, are the unfused `ReLU` → `BatchNorm1d`
+    /// backward's.
+    pub(crate) fn backward_masked(&mut self, grad: &Tensor, relu_mask: Option<&[bool]>) -> Tensor {
+        match relu_mask {
+            Some(mask) => {
+                assert_eq!(mask.len(), grad.len(), "ReLU backward before forward");
+                self.backward_rows::<true>(grad, mask)
+            }
+            None => self.backward_rows::<false>(grad, &[]),
+        }
+    }
+
+    /// [`Self::backward_masked`], monomorphized on whether `mask` applies so
+    /// the per-element loops stay branch-free.
+    fn backward_rows<const MASKED: bool>(&mut self, grad: &Tensor, mask: &[bool]) -> Tensor {
+        let xhat = self.xhat.as_ref().expect("BatchNorm1d backward before forward");
+        let (b, c, t) = grad.dims3();
+        assert_eq!(xhat.shape(), grad.shape(), "BatchNorm1d gradient shape differs from forward");
+        let n = (b * t) as f32;
+        let mut dx = Tensor::zeros(&[b, c, t]);
+        // One row's upstream gradient, x̂ and (when masked) ReLU mask.
+        let row = |bi: usize, ci: usize| {
+            let r = (bi * c + ci) * t;
+            let mr = if MASKED { &mask[r..][..t] } else { &[][..] };
+            (&grad.data()[r..][..t], &xhat.data()[r..][..t], mr)
+        };
+        let dy = |gr: &[f32], mr: &[bool], i: usize| relu_grad(gr[i], !MASKED || mr[i]);
+        for ci in 0..c {
+            let (mut s_dy, mut s_dyh) = ([0.0f32; LANES], [0.0f32; LANES]);
+            for bi in 0..b {
+                let (gr, hr, mr) = row(bi, ci);
+                grad_sums::<MASKED>(gr, hr, mr, &mut s_dy, &mut s_dyh);
+            }
+            let sum_dy: f32 = s_dy.iter().sum();
+            let sum_dy_xhat: f32 = s_dyh.iter().sum();
+            self.beta.grad.data_mut()[ci] += sum_dy;
+            self.gamma.grad.data_mut()[ci] += sum_dy_xhat;
+
+            let g = self.gamma.value.data()[ci];
+            let inv_std = self.inv_std[ci];
+            for bi in 0..b {
+                let (gr, hr, mr) = row(bi, ci);
+                let dxr = &mut dx.data_mut()[(bi * c + ci) * t..][..t];
+                match self.last_mode {
+                    Mode::Train => {
+                        // Full backward through the batch statistics.
+                        let k1 = g * inv_std / n;
+                        for (i, d) in dxr.iter_mut().enumerate() {
+                            *d = k1 * (n * dy(gr, mr, i) - sum_dy - hr[i] * sum_dy_xhat);
+                        }
+                    }
+                    // Running stats are constants. (`Infer` is unreachable:
+                    // its forward drops the x̂ cache, so backward panics
+                    // above.)
+                    Mode::Eval | Mode::Infer => {
+                        let k = g * inv_std;
+                        for (i, d) in dxr.iter_mut().enumerate() {
+                            *d = k * dy(gr, mr, i);
+                        }
+                    }
+                }
+            }
+        }
+        dx
+    }
+}
+
+impl Layer for BatchNorm1d {
+    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        if mode == Mode::Infer {
+            // Backward after an `Infer` forward is a contract violation and
+            // panics on the missing cache.
+            self.xhat = None;
+            return self.infer(x);
+        }
+
+        let mut out = x.clone();
+        self.forward_in_place(&mut out, mode, None);
         out
     }
 
@@ -179,68 +310,7 @@ impl Layer for BatchNorm1d {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let xhat = self.xhat.as_ref().expect("BatchNorm1d backward before forward");
-        let (b, c, t) = grad.dims3();
-        let n = (b * t) as f32;
-        let mut dx = Tensor::zeros(&[b, c, t]);
-
-        for ci in 0..c {
-            let g = self.gamma.value.data()[ci];
-            let inv_std = self.inv_std[ci];
-            // Accumulate per-channel reductions, lane-wise so they vectorize.
-            const LANES: usize = 8;
-            let mut s_dy = [0.0f32; LANES];
-            let mut s_dyh = [0.0f32; LANES];
-            for bi in 0..b {
-                let gr = grad.row(bi, ci);
-                let xh = xhat.row(bi, ci);
-                let mut gc = gr.chunks_exact(LANES);
-                let mut hc = xh.chunks_exact(LANES);
-                for (gch, hch) in (&mut gc).zip(&mut hc) {
-                    for l in 0..LANES {
-                        s_dy[l] += gch[l];
-                        s_dyh[l] += gch[l] * hch[l];
-                    }
-                }
-                for (&gy, &h) in gc.remainder().iter().zip(hc.remainder()) {
-                    s_dy[0] += gy;
-                    s_dyh[0] += gy * h;
-                }
-            }
-            let sum_dy: f32 = s_dy.iter().sum();
-            let sum_dy_xhat: f32 = s_dyh.iter().sum();
-            self.beta.grad.data_mut()[ci] += sum_dy;
-            self.gamma.grad.data_mut()[ci] += sum_dy_xhat;
-
-            match self.last_mode {
-                Mode::Train => {
-                    // Full backward through the batch statistics.
-                    let k1 = g * inv_std / n;
-                    for bi in 0..b {
-                        let gr = grad.row(bi, ci);
-                        let xh = xhat.row(bi, ci);
-                        let dxr = dx.row_mut(bi, ci);
-                        for ((d, &gy), &h) in dxr.iter_mut().zip(gr).zip(xh) {
-                            *d = k1 * (n * gy - sum_dy - h * sum_dy_xhat);
-                        }
-                    }
-                }
-                // (`Infer` is unreachable here: its forward drops the xhat
-                // cache, so backward panics before this match.)
-                Mode::Eval | Mode::Infer => {
-                    // Running stats are constants.
-                    let k = g * inv_std;
-                    for bi in 0..b {
-                        let gr = grad.row(bi, ci);
-                        let dxr = dx.row_mut(bi, ci);
-                        for (d, &gy) in dxr.iter_mut().zip(gr) {
-                            *d = k * gy;
-                        }
-                    }
-                }
-            }
-        }
-        dx
+        self.backward_masked(grad, None)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,7 +1,10 @@
-//! The fused inference epilogue: [`ConvBn`] inference (one kernel plus one
-//! bias / batch-norm / ReLU pass per output) must equal the unfused
-//! `Conv1d::infer` → `BatchNorm1d::infer` → `ReLU::infer` chain and the
-//! eval-mode forwards bit for bit, on every dispatch path.
+//! The fused [`ConvBn`] block against the unfused `Conv1d` → `BatchNorm1d`
+//! → `ReLU` chain, bit for bit, on every dispatch path. Inference (one
+//! kernel plus one bias / batch-norm / ReLU pass per output) must equal the
+//! chain's inference and eval-mode forwards; training (batch norm and ReLU
+//! in place over the conv output, the ReLU mask folded into the batch-norm
+//! backward) must give the chain's outputs, input gradients, parameter
+//! gradients and running statistics step after step.
 //!
 //! The shapes reach each path the selector can take: a tiny problem below
 //! the autotune floor (naive), `out_c ≤ 16` (direct SIMD under the Simd
@@ -87,27 +90,52 @@ proptest! {
     }
 }
 
-#[test]
-fn conv_bn_trains_exactly_like_the_unfused_chain() {
-    for (shape, bias, relu) in [(1, true, true), (2, false, false), (3, true, false)] {
-        let mut block = trained_block(11, shape, bias, relu);
+/// Parameter gradients of every parameter of `layer`, as bits, in visit
+/// order.
+fn grad_bits(layer: &mut dyn Layer) -> Vec<Vec<u32>> {
+    let mut grads = Vec::new();
+    layer.visit_params(&mut |p| grads.push(bits(&p.grad)));
+    grads
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The fused train-mode block (one statistics read and one pass per row
+    /// forward, the ReLU mask folded into the batch-norm gradient
+    /// reduction backward) against the unfused chain, over several
+    /// optimizer steps so later steps start from moved weights and running
+    /// statistics. An eval-mode step rides along: it caches for backward
+    /// too but normalizes with the running statistics.
+    #[test]
+    fn conv_bn_trains_exactly_like_the_unfused_chain(
+        seed in 0u64..1_000_000,
+        shape in 0usize..SHAPES.len(),
+        bias in prop_oneof![Just(true), Just(false)],
+        relu in prop_oneof![Just(true), Just(false)],
+    ) {
+        let mut block = trained_block(seed, shape, bias, relu);
         let mut chain = unfused_chain(&mut block, shape, bias, relu);
         let (b, in_c, out_c, _, t) = SHAPES[shape];
-        let mut r = rng(12);
-        let x = randn_tensor(&mut r, &[b, in_c, t], 1.0);
-        let g = randn_tensor(&mut r, &[b, out_c, t], 1.0);
-        for mode in [Mode::Train, Mode::Eval] {
+        let (mut opt_block, mut opt_chain) = (Adam::new(1e-2), Adam::new(1e-2));
+        let mut r = rng(seed ^ 0x7A);
+        for (step, mode) in [Mode::Train, Mode::Train, Mode::Eval, Mode::Train].into_iter().enumerate() {
+            let x = randn_tensor(&mut r, &[b, in_c, t], 1.0);
+            let g = randn_tensor(&mut r, &[b, out_c, t], 1.0);
             block.zero_grad();
             chain.zero_grad();
-            assert_eq!(bits(&block.forward(&x, mode)), bits(&chain.forward(&x, mode)), "{mode:?}");
-            assert_eq!(bits(&block.backward(&g)), bits(&chain.backward(&g)), "{mode:?} dx");
-            let (mut gb, mut gc) = (Vec::new(), Vec::new());
-            block.visit_params(&mut |p| gb.push(bits(&p.grad)));
-            chain.visit_params(&mut |p| gc.push(bits(&p.grad)));
-            assert_eq!(gb, gc, "{mode:?} parameter gradients");
+            let y = bits(&block.forward(&x, mode));
+            prop_assert_eq!(&y, &bits(&chain.forward(&x, mode)), "step {} {:?} output", step, mode);
+            let dx = bits(&block.backward(&g));
+            prop_assert_eq!(&dx, &bits(&chain.backward(&g)), "step {} {:?} dX", step, mode);
+            let grads = grad_bits(&mut block);
+            prop_assert_eq!(&grads, &grad_bits(&mut chain), "step {} {:?} gradients", step, mode);
+            opt_block.step(&mut block);
+            opt_chain.step(&mut chain);
+            // Weights, γ/β and the running statistics train-mode forwards
+            // moved.
+            prop_assert_eq!(block.save_state(), chain.save_state(), "step {} {:?} state", step, mode);
         }
-        // Train-mode forwards moved both sets of running statistics alike.
-        assert_eq!(block.save_state(), chain.save_state());
     }
 }
 
