@@ -80,11 +80,14 @@ if [ "$MODE" != "quick" ]; then
     step "cargo test -p camal --test checkpoint_compat --release (v2 fixture compat)"
     cargo test -q -p camal --test checkpoint_compat --release
 
-    # Thread-count sweep: the shard-invariance, ensemble-selection,
-    # deterministic-fault and gateway byte-identity claims must hold on one
-    # core (shards run serially), on two truly parallel ones, and
-    # oversubscribed at four.
+    # Thread-count sweep: the worker pool's own contract (thread reuse, no
+    # worker at width 1, panics, nested and concurrent fan-outs), then the
+    # shard-invariance, ensemble-selection, deterministic-fault and gateway
+    # byte-identity claims must hold on one core (shards run serially), on
+    # two truly parallel ones, and oversubscribed at four.
     for T in 1 2 4; do
+        step "thread sweep RAYON_NUM_THREADS=$T: rayon worker pool"
+        RAYON_NUM_THREADS=$T cargo test -q -p rayon --release
         step "thread sweep RAYON_NUM_THREADS=$T: fleet_serving, chaos_core, ensemble, gateway_concurrency, chaos"
         RAYON_NUM_THREADS=$T cargo test -q -p camal --release --test fleet_serving --test chaos_core
         RAYON_NUM_THREADS=$T cargo test -q -p camal --release --lib ensemble::

@@ -50,13 +50,15 @@ use std::time::Instant;
 /// Multiply-accumulates of convolution work each household shard must
 /// carry before a fleet pass splits: a pass runs as `min(threads,
 /// households, work / SHARD_MIN_MACS)` shards, so no shard gets much less
-/// than this. A shard costs one scoped-thread spawn and join: about 35 µs
-/// warm and up to 300 µs cold on a 2-vCPU x86-64 VM, where one core runs a
+/// than this. A shard costs one hand-off to the `rayon` pool: on a 2-vCPU
+/// x86-64 VM (Intel Xeon), in a fan-out of two 1 ms tasks, the woken pool
+/// worker started its task 12 µs after the caller started its own when
+/// the fan-outs ran back to back, and 41 µs after 2 ms idle (medians; a
+/// thread spawn per fan-out took 63–103 µs). One core there runs a
 /// quick-scale fleet pass at 4–5 G conv MACs/s, so 2^25 MACs take about
-/// 7–8 ms and the spawn stays under a few percent of a shard. The floor
-/// also keeps interactive passes (one 128-sample window per request, at
-/// most 64 requests at about 0.5 M MACs each) on a single shard, where the
-/// kernels may still fan out.
+/// 7–8 ms and the hand-off is noise next to a shard. The floor also keeps interactive passes (one 128-sample
+/// window per request, at most 64 requests at about 0.5 M MACs each) on a
+/// single shard, where the kernels may still fan out.
 pub const SHARD_MIN_MACS: usize = 1 << 25;
 
 /// Post-processing plan for one appliance model inside a shared pass: what

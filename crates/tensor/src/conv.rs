@@ -69,7 +69,10 @@ pub enum Padding {
 const GEMM_MIN_MACS: usize = 4096;
 
 /// Total multiply-accumulate count above which the batch splits into one
-/// GEMM group per worker thread instead of a single wide GEMM.
+/// GEMM group per thread (the caller and the `rayon` pool's workers)
+/// instead of a single wide GEMM. Below it, handing a group to a pool
+/// worker (waking it; see `camal::fleet`'s `SHARD_MIN_MACS`) costs more
+/// than the group's share of the work saves.
 const PAR_CONV_MACS: usize = 1 << 20;
 
 /// Reusable lowering scratch (column matrix or padded input, wide product,

@@ -154,10 +154,11 @@ pub fn kernel_threads() -> usize {
 
 /// Runs `f` with [`kernel_threads`] pinned to 1 on the calling thread: the
 /// caller has already split the work across the cores, so a nested fan-out
-/// would only add thread spawns, oversubscribed cores and fresh per-thread
-/// scratch. Two callers do: a fleet pass runs one household shard per core
-/// (through [`fan_out`]), and `camal::ensemble::train_ensemble` trains one
-/// Algorithm 1 candidate per worker. Results do not depend on it: every
+/// would find the pool's workers busy with the sibling items and only add
+/// hand-off overhead. Two callers do: a fleet pass runs one household
+/// shard per core (through [`fan_out`]), and
+/// `camal::ensemble::train_ensemble` trains one Algorithm 1 candidate per
+/// worker. Results do not depend on it: every
 /// kernel is bit-identical at any width.
 pub fn with_serial_kernels<R>(f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
@@ -170,12 +171,13 @@ pub fn with_serial_kernels<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Runs `job` on every item and returns the results in item order: one
-/// worker thread per item when there are several (the `rayon` fan-out),
-/// each under [`with_serial_kernels`] since the items already occupy the
-/// cores, and inline on the caller when there is one. Every worker carries
-/// a copy of the caller's trace context, so the spans recorded inside
-/// (stages, kernel children) land in the caller's traces.
+/// Runs `job` on every item and returns the results in item order: spread
+/// over the calling thread and the `rayon` pool's workers when there are
+/// several (one contiguous run of items per thread), each under
+/// [`with_serial_kernels`] since the items already occupy the cores, and
+/// inline on the caller when there is one. Every item runs with a copy of
+/// the caller's trace context, so the spans recorded inside (stages,
+/// kernel children) land in the caller's traces on whichever thread ran it.
 pub fn fan_out<I: Sync, T: Send>(items: &[I], job: impl Fn(&I) -> T + Sync) -> Vec<T> {
     use rayon::prelude::*;
     let trace_ctx = nilm_obs::trace::snapshot();

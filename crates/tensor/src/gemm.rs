@@ -14,7 +14,7 @@
 //!   which LLVM auto-vectorizes across the `NR` lanes.
 //!
 //! Row-blocks of `C` are independent, so large multiplies are parallelized
-//! over `MC`-row blocks through the (scoped-thread) `rayon` stand-in.
+//! over `MC`-row blocks through the (worker-pool) `rayon` stand-in.
 //!
 //! ## Exactness contract
 //!
@@ -102,7 +102,8 @@ pub const KC: usize = 512;
 pub const NC: usize = 512;
 
 /// Minimum multiply-accumulate count before a `gemm` call fans out over
-/// row-blocks (below this, scoped-thread spawn overhead dominates).
+/// row-blocks. Below it, handing row-blocks to a `rayon` pool worker
+/// (waking it) costs more than the work it takes off the caller.
 const PAR_MACS: usize = 1 << 21;
 
 // A row block must cover a whole number of `MR` panels so a block's packed
