@@ -2,7 +2,7 @@
 # CI gate for the CamAL reproduction workspace.
 #
 # Mirrors the tier-1 verify (`cargo build --release && cargo test -q`) and
-# adds formatting, full-target compilation (the gateway bench included),
+# adds formatting, full-target compilation, the release-only timing claims
 # and warning-free documentation. Run from the repository root:
 #
 #   ./ci.sh          # everything
@@ -17,7 +17,7 @@ step() { printf '\n==> %s\n' "$*"; }
 step "cargo fmt --check"
 cargo fmt --all --check
 
-step "cargo check --workspace --all-targets (bench, bins, examples, tests)"
+step "cargo check --workspace --all-targets (bins, examples, tests)"
 cargo check --workspace --all-targets
 
 if [ "$MODE" != "quick" ]; then
@@ -72,8 +72,11 @@ if [ "$MODE" != "quick" ]; then
         echo "run_all accepted an unknown target"; exit 1
     fi
 
-    step "perf harness smoke run (validates BENCH_conv_gemm.json)"
-    cargo run --release -p nilm_eval --bin bench_conv_gemm -- --smoke --out target/ci-bench
+    # The backends' speed claim: at `Scale::bench` geometry the lowered
+    # convolution runs the paper-width ResNet's train-mode backward at
+    # least 3x, and CamAL inference more than 2x, faster than naive.
+    step "cargo test -p nilm_eval --release --test backend_speed (lowered >= 3x naive backward, > 2x inference)"
+    cargo test -q -p nilm_eval --release --test backend_speed
 
     # Checkpoint compatibility: the committed v2 fixture must keep loading
     # (and serving bit-identically) through the v3 reader.
@@ -82,9 +85,9 @@ if [ "$MODE" != "quick" ]; then
 
     # Thread-count sweep: the worker pool's own contract (thread reuse, no
     # worker at width 1, panics, nested and concurrent fan-outs), then the
-    # shard-invariance, ensemble-selection, deterministic-fault and gateway
-    # byte-identity claims must hold on one core (shards run serially), on
-    # two truly parallel ones, and oversubscribed at four.
+    # shard-invariance, coalescing, ensemble-selection, deterministic-fault
+    # and gateway byte-identity claims must hold on one core (shards run
+    # serially), on two truly parallel ones, and oversubscribed at four.
     for T in 1 2 4; do
         step "thread sweep RAYON_NUM_THREADS=$T: rayon worker pool"
         RAYON_NUM_THREADS=$T cargo test -q -p rayon --release
@@ -301,9 +304,6 @@ PY
     # and after disarming the gateway heals to byte-identical responses.
     step "camal_gateway chaos --smoke (fault injection: zero hangs, zero 500s, heals byte-identical)"
     cargo run --release -p nilm_eval --bin camal_gateway -- chaos --smoke --out target/ci-gateway-chaos
-
-    step "bench_gateway_rps smoke (validates BENCH_gateway.json writer)"
-    cargo bench -p nilm_bench --bench bench_gateway_rps -- --smoke --out "$PWD/target/ci-gateway"
 fi
 
 # `camal`, `nilm_data`, `nilm_fault`, `nilm_json`, `nilm_models`,

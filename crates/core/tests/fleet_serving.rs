@@ -1,8 +1,9 @@
 //! Cross-module contracts of the fleet-serving subsystem: the registry
 //! round-trips checkpoints lazily, the single-appliance fleet is
 //! bit-identical to `camal::stream::serve`, sharding across worker threads
-//! is invisible in the output, and the shared preprocessing pass scores the
-//! same windows the single-appliance service does.
+//! is invisible in the output, the shared preprocessing pass scores the
+//! same windows the single-appliance service does, and coalescing
+//! households into one pass saves kernel calls without changing a bit.
 
 use camal::ensemble::EnsembleMember;
 use camal::fleet::{serve_fleet, FleetConfig};
@@ -14,8 +15,14 @@ use nilm_models::{build_from_spec, BackboneSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::sync::{PoisonError, RwLock};
 
 const WINDOW: usize = 32;
+
+/// `nilm_obs::kernel` keeps one process-wide table. Every test here takes
+/// this lock shared; the test that counts kernel calls takes it exclusive,
+/// so no other test's kernels land in its count.
+static KERNEL_TABLE: RwLock<()> = RwLock::new(());
 
 fn random_model(kernels: &[usize], seed: u64) -> CamalModel {
     resnet_model(kernels, 16, seed)
@@ -114,6 +121,7 @@ fn temp_dir(name: &str) -> PathBuf {
 /// probabilities, power estimates and coverage bookkeeping.
 #[test]
 fn fleet_of_one_is_bit_identical_to_stream_serve() {
+    let _kernels = KERNEL_TABLE.read().unwrap_or_else(PoisonError::into_inner);
     let key = ModelKey::new(DatasetId::Refit, ApplianceKind::Dishwasher);
     let avg_power_w = template(key.dataset).case(key.appliance).unwrap().avg_power_w;
     let model = random_model(&[5, 7], 51);
@@ -156,6 +164,7 @@ fn fleet_of_one_is_bit_identical_to_stream_serve() {
 /// is a throughput knob, never a semantics knob.
 #[test]
 fn worker_thread_count_is_invisible_in_fleet_output() {
+    let _kernels = KERNEL_TABLE.read().unwrap_or_else(PoisonError::into_inner);
     let keys = [
         ModelKey::new(DatasetId::Refit, ApplianceKind::Kettle),
         ModelKey::new(DatasetId::UkDale, ApplianceKind::Dishwasher),
@@ -195,6 +204,7 @@ fn worker_thread_count_is_invisible_in_fleet_output() {
 /// bit-for-bit.
 #[test]
 fn mixed_backbone_zoo_is_shard_invariant_and_matches_stream_serve() {
+    let _kernels = KERNEL_TABLE.read().unwrap_or_else(PoisonError::into_inner);
     let keys = [
         ModelKey::new(DatasetId::Refit, ApplianceKind::Kettle),
         ModelKey::new(DatasetId::UkDale, ApplianceKind::Dishwasher),
@@ -251,6 +261,7 @@ fn mixed_backbone_zoo_is_shard_invariant_and_matches_stream_serve() {
 /// and verify the served output matches the in-memory models.
 #[test]
 fn checkpoint_zoo_roundtrips_through_bounded_registry() {
+    let _kernels = KERNEL_TABLE.read().unwrap_or_else(PoisonError::into_inner);
     let dir = temp_dir("zoo");
     let keys = [
         ModelKey::new(DatasetId::Refit, ApplianceKind::Kettle),
@@ -292,6 +303,7 @@ fn checkpoint_zoo_roundtrips_through_bounded_registry() {
 /// it sees).
 #[test]
 fn fleet_scenario_households_serve_end_to_end() {
+    let _kernels = KERNEL_TABLE.read().unwrap_or_else(PoisonError::into_inner);
     let keys = [
         ModelKey::new(DatasetId::Refit, ApplianceKind::Kettle),
         ModelKey::new(DatasetId::UkDale, ApplianceKind::Dishwasher),
@@ -318,4 +330,52 @@ fn fleet_scenario_households_serve_end_to_end() {
         }
     }
     assert!(out.summary.windows_per_second > 0.0);
+}
+
+/// `conv_fwd` calls recorded so far in the process-wide kernel table.
+fn conv_fwd_calls() -> u64 {
+    nilm_obs::kernel::stats()
+        .iter()
+        .filter(|(key, _)| key.op == "conv_fwd")
+        .map(|(_, stat)| stat.calls)
+        .sum()
+}
+
+/// The micro-batcher's server-side saving, counted instead of timed: eight
+/// single-window households served in one merged pass fill one batch where
+/// eight solo passes fill eight, so the merged pass makes 1/8 of their
+/// convolution calls, and every household's timeline is bit-identical to
+/// its solo pass. (The wall-clock effect is measured end to end by the
+/// benchmark's `gateway.requests_per_pass` and `capacity_rps`.)
+#[test]
+fn coalesced_pass_makes_one_eighth_of_the_solo_kernel_calls() {
+    let _kernels = KERNEL_TABLE.write().unwrap_or_else(PoisonError::into_inner);
+    let key = ModelKey::new(DatasetId::Refit, ApplianceKind::Kettle);
+    let mut registry = ModelRegistry::unbounded();
+    registry.insert(key, random_model(&[5], 17));
+    let households: Vec<HouseholdSeries> = (0..8).map(|i| gappy_household(1, 40 + i)).collect();
+    let cfg = FleetConfig { batch: 64, ..FleetConfig::at_step(60) };
+
+    let calls_before = conv_fwd_calls();
+    let solo: Vec<_> = households
+        .iter()
+        .map(|h| serve_fleet(&mut registry, &[key], std::slice::from_ref(h), &cfg).unwrap())
+        .collect();
+    let solo_calls = conv_fwd_calls() - calls_before;
+    let merged = serve_fleet(&mut registry, &[key], &households, &cfg).unwrap();
+    let merged_calls = conv_fwd_calls() - calls_before - solo_calls;
+
+    assert_eq!(solo.iter().map(|s| s.summary.batches).sum::<usize>(), 8);
+    assert_eq!(merged.summary.feed_windows_scored, 8);
+    assert_eq!(merged.summary.batches, 1, "8 single-window households fill one batch");
+    assert!(merged_calls > 0);
+    assert_eq!(8 * merged_calls, solo_calls, "the merged pass makes 1/8 of the solo conv calls");
+    for (hi, alone) in solo.iter().enumerate() {
+        let (a, b) = (alone.timeline(0, key).unwrap(), merged.timeline(hi, key).unwrap());
+        assert_eq!(a.id, b.id);
+        assert_eq!((&a.raw_status, &a.status), (&b.raw_status, &b.status), "household {hi}");
+        assert_eq!(f32_bits(&a.detection_proba), f32_bits(&b.detection_proba));
+        assert_eq!(f32_bits(&a.power_w), f32_bits(&b.power_w));
+        assert_eq!(a.scored_starts, b.scored_starts);
+    }
 }

@@ -42,7 +42,7 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Seconds-scale preset used by tests and Criterion benches.
+    /// Seconds-scale preset used by tests and the smoke reproduction.
     pub fn smoke() -> Self {
         Scale {
             name: "smoke",
@@ -60,7 +60,7 @@ impl Scale {
     }
 
     /// Single-candidate, single-epoch preset (window 128): the geometry of
-    /// the `bench_conv_gemm` perf harness.
+    /// the backend speed test (`tests/backend_speed.rs`).
     pub fn bench() -> Self {
         Scale {
             name: "bench",

@@ -6,14 +6,13 @@
 //!
 //! The vendored `serde` stand-in carries no data model (the offline build
 //! cannot pull `serde_json`), so every machine-readable artifact of this
-//! workspace flows through this crate instead: the perf harnesses write
-//! their committed baselines with [`JsonValue::to_pretty`] and CI re-reads
-//! them through [`validate`], while the network gateway (`nilm_serve`)
-//! parses request bodies with [`parse`] and emits responses with
-//! [`JsonValue::to_compact`]. Objects keep sorted keys, so emission is
-//! deterministic and byte-stable — committed baselines diff cleanly and
-//! gateway responses can be compared bit-for-bit against locally computed
-//! expectations.
+//! workspace flows through this crate instead: the serving reports are
+//! written with [`JsonValue::to_pretty`] and re-read through [`validate`],
+//! while the network gateway (`nilm_serve`) parses request bodies with
+//! [`parse`] and emits responses with [`JsonValue::to_compact`]. Objects
+//! keep sorted keys, so emission is deterministic and byte-stable —
+//! reports diff cleanly and gateway responses can be compared bit-for-bit
+//! against locally computed expectations.
 //!
 //! ## Round-tripping
 //!

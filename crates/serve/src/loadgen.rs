@@ -94,28 +94,11 @@ pub struct LoadgenOptions {
     /// depths exercise the reactor's per-connection in-flight pipeline
     /// and in-order response writer. Ignored when `keep_alive` is off.
     pub pipeline: usize,
-    /// Open-loop pacing: each connection fires its `k`-th request at
-    /// `start + k * pace` (wall-clock schedule) instead of immediately
-    /// after the previous response. Latency is measured from the
-    /// *scheduled* send time, so a backed-up server cannot hide queueing
-    /// delay by slowing the sender down (the coordinated-omission
-    /// correction). `None` is the classic closed loop. Comparing tail
-    /// latency across connection counts is only meaningful paced: a
-    /// closed loop at N connections keeps N requests in flight, so its
-    /// latency grows ~linearly in N by Little's law no matter how good
-    /// the server is. Ignored when `keep_alive` is off or `pipeline > 1`.
-    pub pace: Option<Duration>,
 }
 
 impl Default for LoadgenOptions {
     fn default() -> Self {
-        LoadgenOptions {
-            connections: 1,
-            total_requests: 1,
-            keep_alive: true,
-            pipeline: 1,
-            pace: None,
-        }
+        LoadgenOptions { connections: 1, total_requests: 1, keep_alive: true, pipeline: 1 }
     }
 }
 
@@ -153,7 +136,6 @@ pub fn run_loadgen_with(
     let total_requests = opts.total_requests;
     let keep_alive = opts.keep_alive;
     let pipeline = opts.pipeline.max(1);
-    let pace = opts.pace.filter(|_| keep_alive && pipeline == 1);
     let request = format!(
         "POST /v1/localize HTTP/1.1\r\nHost: gateway\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{}\r\n{body}",
         body.len(),
@@ -169,7 +151,7 @@ pub fn run_loadgen_with(
             .iter()
             .map(|&n| {
                 let request = request.as_str();
-                scope.spawn(move || worker(addr, n, request, keep_alive, pipeline, pace))
+                scope.spawn(move || worker(addr, n, request, keep_alive, pipeline))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("loadgen worker panicked")).collect()
@@ -244,15 +226,14 @@ impl WorkerTally {
 }
 
 /// One worker: `n` request/response cycles, either over one persistent
-/// connection (optionally pipelined `depth` at a time, optionally on an
-/// open-loop `pace` schedule) or over a fresh connection each cycle.
+/// connection (optionally pipelined `depth` at a time) or over a fresh
+/// connection each cycle.
 fn worker(
     addr: &str,
     n: usize,
     request: &str,
     keep_alive: bool,
     depth: usize,
-    pace: Option<Duration>,
 ) -> Result<WorkerTally, LoadgenError> {
     let mut tally = WorkerTally::default();
     if n == 0 {
@@ -268,26 +249,6 @@ fn worker(
     if keep_alive {
         let stream = connect()?;
         let mut reader = BufReader::new(&stream);
-        if let Some(interval) = pace {
-            // Open loop: request k is due at t0 + k*interval, and latency
-            // counts from that *scheduled* instant — if the server backs
-            // up, the wait to get the request out the door is charged to
-            // the server, not silently dropped from the measurement.
-            let t0 = Instant::now();
-            for k in 0..n {
-                let scheduled = t0 + interval.saturating_mul(k as u32);
-                let now = Instant::now();
-                if scheduled > now {
-                    std::thread::sleep(scheduled - now);
-                }
-                (&stream)
-                    .write_all(request.as_bytes())
-                    .map_err(|e| LoadgenError::Http(HttpError::Io(e)))?;
-                let response = read_response(&mut reader).map_err(LoadgenError::Http)?;
-                tally.record(scheduled, &response);
-            }
-            return Ok(tally);
-        }
         let mut remaining = n;
         while remaining > 0 {
             let wave = depth.min(remaining);

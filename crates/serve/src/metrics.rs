@@ -350,7 +350,7 @@ impl Metrics {
         w.family(
             "nilm_kernel_calls_total",
             "counter",
-            "Production kernel invocations, by op, GEMM shape, thread count, and backend.",
+            "Production kernel invocations (an autotuner race counts once), by op, GEMM shape, keyed pool width, and backend.",
         );
         w.family(
             "nilm_kernel_seconds_total",

@@ -298,8 +298,8 @@ pub fn clear_choices() {
     cache().lock().unwrap().clear();
 }
 
-/// Snapshot of the autotuner cache, sorted by key — the benchmark's
-/// per-shape winner table.
+/// Snapshot of the autotuner cache, sorted by key (the benchmark counts
+/// its growth as cold races).
 pub fn tuned_entries() -> Vec<(ShapeKey, Backend)> {
     let mut entries: Vec<_> = cache().lock().unwrap().iter().map(|(k, v)| (*k, *v)).collect();
     entries.sort_by_key(|(k, _)| (k.op, k.m, k.n, k.k, k.threads));
