@@ -88,13 +88,17 @@ if [ "$MODE" != "quick" ]; then
     # shard-invariance, coalescing, ensemble-selection, deterministic-fault
     # and gateway byte-identity claims must hold on one core (shards run
     # serially), on two truly parallel ones, and oversubscribed at four.
+    # The gateway runs one pass loop per pool slot, so the same sweep runs
+    # its chaos, concurrency and tracing suites with one loop (passes never
+    # overlap) and with two and four (they do, and trace contexts are set
+    # on several pass threads at once).
     for T in 1 2 4; do
         step "thread sweep RAYON_NUM_THREADS=$T: rayon worker pool"
         RAYON_NUM_THREADS=$T cargo test -q -p rayon --release
-        step "thread sweep RAYON_NUM_THREADS=$T: fleet_serving, chaos_core, ensemble, gateway_concurrency, chaos"
+        step "thread sweep RAYON_NUM_THREADS=$T: fleet_serving, chaos_core, ensemble, gateway_concurrency, chaos, obs_trace"
         RAYON_NUM_THREADS=$T cargo test -q -p camal --release --test fleet_serving --test chaos_core
         RAYON_NUM_THREADS=$T cargo test -q -p camal --release --lib ensemble::
-        RAYON_NUM_THREADS=$T cargo test -q -p nilm_serve --release --test gateway_concurrency --test chaos
+        RAYON_NUM_THREADS=$T cargo test -q -p nilm_serve --release --test gateway_concurrency --test chaos --test obs_trace
     done
     # Decode-worker sweep: gateway byte-identity with one worker and with two
     # decoding concurrently off the reactor.

@@ -27,7 +27,10 @@
 //!    duration priors run at the stitched level, and §IV-C power is
 //!    estimated — exactly the single-appliance streaming semantics.
 //!
-//! [`serve_fleet`] is the registry-driven entry point;
+//! [`serve_fleet`] is the registry-driven entry point, in two steps: a
+//! resolve step ([`resolve_fleet`]) that needs the registry and a pass
+//! ([`run_fleet`]) that needs only the resolved models, so a server can
+//! hold its registry lock for the first alone.
 //! [`crate::stream::serve`] is the N=1 special case of the same engine
 //! (both delegate to the crate-private `serve_shared` core below).
 
@@ -516,17 +519,153 @@ fn shard_count(
     cfg.threads.min(households.len()).min(macs / SHARD_MIN_MACS).max(1)
 }
 
+/// The models of one fleet pass, resolved from a registry by
+/// [`resolve_fleet`]: shared handles plus each key's post-processing plan
+/// and the common window. A pass over them ([`run_fleet`]) needs no
+/// registry, so the registry can serve other resolves while it runs, and an
+/// eviction or a registry rebuild cannot pull a model from under it.
+pub struct ResolvedFleet {
+    keys: Vec<ModelKey>,
+    models: Vec<Arc<CamalModel>>,
+    plans: Vec<AppliancePlan>,
+    window: usize,
+}
+
+impl ResolvedFleet {
+    /// The household shards [`run_fleet`] splits a pass over `households`
+    /// into: the cores the pass occupies at once.
+    pub fn shards(&self, households: &[HouseholdSeries], cfg: &FleetConfig) -> usize {
+        let models: Vec<&CamalModel> = self.models.iter().map(|m| &**m).collect();
+        shard_count(&models, households, self.window, cfg)
+    }
+}
+
+/// The resolve step of [`serve_fleet`]: fetches (lazily loading) every
+/// model of `keys` from `registry` once and checks that they share one
+/// training window. Duration priors (when `cfg.apply_priors`) and average
+/// power come from each key's dataset template (Table I); a key absent from
+/// its template falls back to 1 kW with priors still applied.
+pub fn resolve_fleet(
+    registry: &mut ModelRegistry,
+    keys: &[ModelKey],
+    cfg: &FleetConfig,
+) -> Result<ResolvedFleet, FleetError> {
+    if keys.is_empty() {
+        return Err(FleetError::NoAppliances);
+    }
+    let mut models: Vec<Arc<CamalModel>> = Vec::with_capacity(keys.len());
+    let mut plans: Vec<AppliancePlan> = Vec::with_capacity(keys.len());
+    let mut window = 0usize;
+    for &key in keys {
+        let model = Arc::clone(registry.get_mut(key)?);
+        let w = model.window();
+        if w == 0 {
+            return Err(FleetError::UnknownWindow(key));
+        }
+        if window == 0 {
+            window = w;
+        } else if w != window {
+            return Err(FleetError::WindowMismatch { key, window: w, expected: window });
+        }
+        let avg_power_w =
+            template(key.dataset).case(key.appliance).map(|c| c.avg_power_w).unwrap_or(1000.0);
+        plans.push(AppliancePlan {
+            appliance: cfg.apply_priors.then_some(key.appliance),
+            avg_power_w,
+        });
+        models.push(model);
+    }
+    Ok(ResolvedFleet { keys: keys.to_vec(), models, plans, window })
+}
+
+/// The pass step of [`serve_fleet`]: serves every household against every
+/// resolved model in one shared pass per feed (see the module docs for the
+/// pipeline). Every worker shard borrows the same `Arc` of each model, so
+/// the pass scales across threads without locks or copies. Households are
+/// split into shards only when each keeps [`SHARD_MIN_MACS`] of work (at
+/// most `cfg.threads`; see [`ResolvedFleet::shards`]). The plans were
+/// fixed by [`resolve_fleet`];
+/// `cfg.apply_priors` is not read again here.
+pub fn run_fleet(
+    fleet: &ResolvedFleet,
+    households: &[HouseholdSeries],
+    cfg: &FleetConfig,
+) -> FleetResult {
+    let models: Vec<&CamalModel> = fleet.models.iter().map(|m| &**m).collect();
+    let (plans, window) = (&fleet.plans[..], fleet.window);
+
+    // Shard households contiguously. Each shard runs panic-isolated: one
+    // retry on the same models, then degraded placeholders, so a poisoned
+    // worker cannot sink the whole pass.
+    let shards = fleet.shards(households, cfg);
+    let per_shard = households.len().div_ceil(shards).max(1);
+    let shards: Vec<(usize, &[HouseholdSeries])> =
+        households.chunks(per_shard).enumerate().collect();
+    let start = Instant::now();
+    let shard_results = fan_out(&shards, |&(index, shard)| {
+        run_shard_guarded(index, &models, plans, shard, window, cfg)
+    });
+    let elapsed_s = start.elapsed().as_secs_f64();
+
+    // Reassemble: transpose each shard's [model][household] timelines into
+    // per-household rows, preserving input household order.
+    let mut out_households: Vec<FleetHouseholdResult> = Vec::with_capacity(households.len());
+    let mut counters = SharedPassCounters::default();
+    let mut shard_retries = 0usize;
+    let mut households_degraded = 0usize;
+    let actual_shards = shard_results.len();
+    for outcome in shard_results {
+        let c = outcome.counters;
+        counters.windows_total += c.windows_total;
+        counters.windows_scored += c.windows_scored;
+        counters.inferences += c.inferences;
+        counters.batches += c.batches;
+        counters.preprocess_s += c.preprocess_s;
+        counters.infer_s += c.infer_s;
+        counters.stitch_s += c.stitch_s;
+        shard_retries += outcome.retries;
+        let shard_len = outcome.timelines.first().map_or(0, Vec::len);
+        if outcome.degraded.is_some() {
+            households_degraded += shard_len;
+        }
+        let mut iters: Vec<_> = outcome.timelines.into_iter().map(Vec::into_iter).collect();
+        for _ in 0..shard_len {
+            let timelines: Vec<HouseholdTimeline> =
+                iters.iter_mut().map(|it| it.next().expect("shard rows are rectangular")).collect();
+            out_households.push(FleetHouseholdResult {
+                id: timelines[0].id.clone(),
+                timelines,
+                degraded: outcome.degraded.clone(),
+            });
+        }
+    }
+
+    let summary = FleetSummary {
+        households: households.len(),
+        appliances: fleet.keys.len(),
+        window,
+        shards: actual_shards,
+        feed_windows_total: counters.windows_total,
+        feed_windows_scored: counters.windows_scored,
+        inferences: counters.inferences,
+        batches: counters.batches,
+        elapsed_s,
+        windows_per_second: counters.inferences as f64 / elapsed_s.max(1e-9),
+        preprocess_s: counters.preprocess_s,
+        infer_s: counters.infer_s,
+        stitch_s: counters.stitch_s,
+        shard_retries,
+        households_degraded,
+    };
+    FleetResult { appliances: fleet.keys.clone(), households: out_households, summary }
+}
+
 /// Serves every household against every requested appliance model in one
-/// shared pass per feed (see the module docs for the pipeline).
+/// shared pass per feed: [`resolve_fleet`], then [`run_fleet`].
 ///
 /// Models are fetched (lazily loading checkpoints) from `registry` once;
-/// every worker shard borrows the same `Arc` of each, so the pass scales
-/// across threads without locks or copies, and a bounded registry that
-/// evicts a model mid-pass cannot pull it from under a shard. Households
-/// are split into shards only when each keeps [`SHARD_MIN_MACS`] of work
-/// (at most `cfg.threads`). Per-appliance duration priors and
-/// average power come from each key's dataset template (Table I); a key
-/// absent from its template falls back to 1 kW with priors still applied.
+/// the pass runs on its own `Arc`s, so a bounded registry that evicts a
+/// model mid-pass cannot pull it from under a shard.
 ///
 /// All requested models must share one training window — a mixed-window
 /// fleet cannot share a preprocessing pass and is rejected with
@@ -573,99 +712,8 @@ pub fn serve_fleet(
     households: &[HouseholdSeries],
     cfg: &FleetConfig,
 ) -> Result<FleetResult, FleetError> {
-    if keys.is_empty() {
-        return Err(FleetError::NoAppliances);
-    }
-    // Fetch (lazily loading) every model once, validating that the fleet
-    // shares a single training window.
-    let mut models: Vec<Arc<CamalModel>> = Vec::with_capacity(keys.len());
-    let mut plans: Vec<AppliancePlan> = Vec::with_capacity(keys.len());
-    let mut window = 0usize;
-    for &key in keys {
-        let model = Arc::clone(registry.get_mut(key)?);
-        let w = model.window();
-        if w == 0 {
-            return Err(FleetError::UnknownWindow(key));
-        }
-        if window == 0 {
-            window = w;
-        } else if w != window {
-            return Err(FleetError::WindowMismatch { key, window: w, expected: window });
-        }
-        let avg_power_w =
-            template(key.dataset).case(key.appliance).map(|c| c.avg_power_w).unwrap_or(1000.0);
-        plans.push(AppliancePlan {
-            appliance: cfg.apply_priors.then_some(key.appliance),
-            avg_power_w,
-        });
-        models.push(model);
-    }
-    let models: Vec<&CamalModel> = models.iter().map(|m| &**m).collect();
-
-    // Shard households contiguously. Each shard runs panic-isolated: one
-    // retry on the same models, then degraded placeholders, so a poisoned
-    // worker cannot sink the whole pass.
-    let shards = shard_count(&models, households, window, cfg);
-    let per_shard = households.len().div_ceil(shards).max(1);
-    let shards: Vec<(usize, &[HouseholdSeries])> =
-        households.chunks(per_shard).enumerate().collect();
-    let start = Instant::now();
-    let shard_results = fan_out(&shards, |&(index, shard)| {
-        run_shard_guarded(index, &models, &plans, shard, window, cfg)
-    });
-    let elapsed_s = start.elapsed().as_secs_f64();
-
-    // Reassemble: transpose each shard's [model][household] timelines into
-    // per-household rows, preserving input household order.
-    let mut out_households: Vec<FleetHouseholdResult> = Vec::with_capacity(households.len());
-    let mut counters = SharedPassCounters::default();
-    let mut shard_retries = 0usize;
-    let mut households_degraded = 0usize;
-    let actual_shards = shard_results.len();
-    for outcome in shard_results {
-        let c = outcome.counters;
-        counters.windows_total += c.windows_total;
-        counters.windows_scored += c.windows_scored;
-        counters.inferences += c.inferences;
-        counters.batches += c.batches;
-        counters.preprocess_s += c.preprocess_s;
-        counters.infer_s += c.infer_s;
-        counters.stitch_s += c.stitch_s;
-        shard_retries += outcome.retries;
-        let shard_len = outcome.timelines.first().map_or(0, Vec::len);
-        if outcome.degraded.is_some() {
-            households_degraded += shard_len;
-        }
-        let mut iters: Vec<_> = outcome.timelines.into_iter().map(Vec::into_iter).collect();
-        for _ in 0..shard_len {
-            let timelines: Vec<HouseholdTimeline> =
-                iters.iter_mut().map(|it| it.next().expect("shard rows are rectangular")).collect();
-            out_households.push(FleetHouseholdResult {
-                id: timelines[0].id.clone(),
-                timelines,
-                degraded: outcome.degraded.clone(),
-            });
-        }
-    }
-
-    let summary = FleetSummary {
-        households: households.len(),
-        appliances: keys.len(),
-        window,
-        shards: actual_shards,
-        feed_windows_total: counters.windows_total,
-        feed_windows_scored: counters.windows_scored,
-        inferences: counters.inferences,
-        batches: counters.batches,
-        elapsed_s,
-        windows_per_second: counters.inferences as f64 / elapsed_s.max(1e-9),
-        preprocess_s: counters.preprocess_s,
-        infer_s: counters.infer_s,
-        stitch_s: counters.stitch_s,
-        shard_retries,
-        households_degraded,
-    };
-    Ok(FleetResult { appliances: keys.to_vec(), households: out_households, summary })
+    let fleet = resolve_fleet(registry, keys, cfg)?;
+    Ok(run_fleet(&fleet, households, cfg))
 }
 
 #[cfg(test)]
@@ -925,6 +973,33 @@ mod tests {
             assert_eq!(ta.raw_status, tb.raw_status);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_resolved_fleet_outlives_its_registry() {
+        // The pass runs on the handles the resolve step took: replacing the
+        // registry in between (as a server's rebuild after a panic does)
+        // must not change a bit of the result.
+        let mut reg = ModelRegistry::unbounded();
+        let key = kettle_key();
+        reg.insert(key, random_model(&[5, 7], 61));
+        let households = vec![toy_household(3, 62), toy_household(2, 63)];
+        let cfg = FleetConfig { threads: 2, ..FleetConfig::at_step(60) };
+        let direct = serve_fleet(&mut reg, &[key], &households, &cfg).unwrap();
+        let fleet = resolve_fleet(&mut reg, &[key], &cfg).unwrap();
+        drop(std::mem::replace(&mut reg, ModelRegistry::unbounded()));
+        let late = run_fleet(&fleet, &households, &cfg);
+        let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for (a, b) in direct.households.iter().zip(&late.households) {
+            let (ta, tb) = (&a.timelines[0], &b.timelines[0]);
+            assert_eq!(ta.status, tb.status);
+            assert_eq!(bits(&ta.detection_proba), bits(&tb.detection_proba));
+            assert_eq!(bits(&ta.power_w), bits(&tb.power_w));
+        }
+        assert!(matches!(
+            resolve_fleet(&mut reg, &[key], &cfg),
+            Err(FleetError::Registry(RegistryError::Unknown(_)))
+        ));
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //! | `persist.load.corrupt` | checkpoint file read yields a corrupt-data error   |
 //! | `persist.save.torn`    | checkpoint save crashes after a partial temp write |
 //! | `fleet.shard.panic`    | a fleet worker shard panics mid-pass               |
-//! | `batcher.panic`        | the gateway batcher panics with jobs in flight     |
-//! | `gateway.slow_pass`    | a batcher pass stalls past the request deadline    |
+//! | `batcher.panic`        | a gateway pass loop panics with jobs in flight     |
+//! | `gateway.slow_pass`    | a gateway pass stalls past the request deadline    |
 //! | `queue.full`           | a queue push reports `Full` (load shed)            |
 //! | `reactor.panic`        | the gateway's epoll event loop panics mid-tick     |
 //! | `worker.wedge`         | a gateway worker naps past the request deadline    |

@@ -1,5 +1,5 @@
 //! The gateway server: the epoll reactor front end, the decode worker
-//! pool, and the micro-batching scheduler thread.
+//! pool, and the micro-batching pass loops.
 //!
 //! Connections are owned by one event-loop thread (the **reactor**, see
 //! the private `reactor` module): readiness-driven incremental parsing, pipelined
@@ -8,17 +8,32 @@
 //! small **worker pool** that JSON-parses + validates them; localize jobs
 //! land on the bounded [`JobQueue`].
 //!
-//! One thread owns the [`ModelRegistry`] — the **batcher**. It pops the
-//! first waiting job, drains whatever else queued up behind it (the
-//! concurrent backlog), groups jobs by requested key set, and serves each
-//! group as **one** [`camal::fleet::serve_fleet`] pass with every job's
-//! households merged — so windows from different requests share GEMM
-//! batches. A pass may use every core: the fleet splits a large pass into
-//! household shards over one shared copy of each model
-//! ([`camal::fleet::SHARD_MIN_MACS`]). Because window scoring is row-independent (eval-mode
-//! BatchNorm, per-row GEMM tiles), coalescing never changes a response:
-//! each one is bit-identical to a direct [`camal::stream::serve`] call,
-//! which the concurrency tests pin.
+//! Localize jobs are served by **pass loops** (the batcher): one
+//! persistent thread per `rayon` pool slot
+//! ([`camal::fleet::available_threads`]), all popping from the one queue.
+//! A loop pops the first waiting job, drains whatever else queued up
+//! behind it (the concurrent backlog), groups jobs by requested key set,
+//! and serves each group as **one** fleet pass with every job's households
+//! merged — so windows from different requests share GEMM batches — then
+//! renders and sends the responses itself. While one loop runs a pass, the
+//! others keep taking jobs, so a request never waits out another
+//! connection's pass while a core is free. All loops share **one**
+//! [`ModelRegistry`] behind a mutex, held only to resolve a pass's keys
+//! into shared model handles ([`camal::fleet::resolve_fleet`]: load,
+//! evict, quarantine) and read its counters; the pass itself
+//! ([`camal::fleet::run_fleet`]) runs without it. A pass may use every
+//! core: the fleet splits a large pass into household shards over one
+//! shared copy of each model ([`camal::fleet::SHARD_MIN_MACS`]). Before
+//! it runs, a pass leases one core per shard from a budget of one core
+//! per loop, in arrival order: small passes overlap on idle cores, while a
+//! pass sharded over every core waits for them instead of doubling up on
+//! busy ones (on a 2-vCPU host, letting two such passes overlap raised
+//! the bulk benchmark's p90 latency and peak RSS). Because
+//! window scoring is row-independent (eval-mode BatchNorm, per-row GEMM
+//! tiles), coalescing never changes a response: each one is bit-identical
+//! to a direct [`camal::stream::serve`] call, which the concurrency tests
+//! pin, and the reactor's per-connection outbox puts responses that finish
+//! out of order back in request order.
 //!
 //! Overload: a full queue answers `503` immediately (load shedding), a
 //! full per-connection pipeline drops read interest (backpressure), and a
@@ -26,17 +41,20 @@
 //! Shutdown: [`Gateway::shutdown`] (or `POST /admin/shutdown`) closes the
 //! listener first, lets live connections drain their in-flight requests
 //! (bounded by their deadlines), then stops the workers and lets the
-//! batcher close the queue — accept → connections → batcher, in order.
+//! last pass loop close the queue — accept → connections → pass loops, in
+//! order.
 //!
-//! Failure is a first-class input, not an afterthought. The batcher runs
-//! under a supervisor (`supervise_batcher`): a panic anywhere in a pass
-//! is caught, the in-flight jobs' `ReplyHandle`s drop — which answers
-//! their connections `503` + `Retry-After` instead of hanging or
-//! `500`ing — and a fresh batcher generation is respawned with the
-//! registry rebuilt from the startup `RegistrySpec`: file-backed
-//! checkpoints re-register their paths, pinned models are re-inserted from
-//! the `Arc`s taken at warm time (inference never writes to a model, so a
-//! panic cannot have damaged them). The reactor arms a deadline per
+//! Failure is a first-class input, not an afterthought. Each pass loop
+//! runs under a supervisor (`supervise_passes`): a panic anywhere in a
+//! pass is caught, the shared registry is rebuilt under its lock from the
+//! startup `RegistrySpec` (file-backed checkpoints re-register their
+//! paths, pinned models are re-inserted from the `Arc`s taken at warm
+//! time — inference never writes to a model, so a panic cannot have
+//! damaged them), and only then are that loop's in-flight jobs answered
+//! `503` + `Retry-After` (their `ReplyHandle`s drop) instead of hanging or
+//! `500`ing, so a client that retries reaches the rebuilt registry. Passes
+//! on other loops keep their model handles and finish; the panicked loop
+//! restarts. The reactor arms a deadline per
 //! request ([`GatewayConfig::deadline`], overridable via the
 //! `X-Camal-Deadline-Ms` header), so even a wedged worker or batcher pass
 //! turns into a timely `503` + `Retry-After`. The reactor itself is
@@ -51,7 +69,7 @@ use crate::protocol::{error_body, localize_response, parse_localize, Detail, Hou
 use crate::queue::{JobQueue, PushError};
 use crate::reactor::ReplyHandle;
 use crate::sys::Waker;
-use camal::fleet::{available_threads, serve_fleet, FleetConfig, FleetError};
+use camal::fleet::{available_threads, resolve_fleet, run_fleet, FleetConfig, FleetError};
 use camal::registry::{ModelKey, ModelRegistry, QuarantinePolicy, RegistryError};
 use camal::stream::HouseholdSeries;
 use camal::CamalModel;
@@ -60,8 +78,8 @@ use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -176,7 +194,7 @@ impl Reply {
     }
 }
 
-/// How to recreate one registry entry after a batcher panic.
+/// How to recreate one registry entry after a pass loop panics.
 enum RebuildEntry {
     /// File-backed checkpoint: re-register the path, reload lazily.
     File(PathBuf),
@@ -185,9 +203,9 @@ enum RebuildEntry {
     Pinned(Arc<CamalModel>),
 }
 
-/// Everything needed to rebuild the batcher's [`ModelRegistry`] from
-/// scratch, captured once at [`Gateway::start`]. The supervisor replays it
-/// after a panic so a fresh generation serves the same model set with the
+/// Everything needed to rebuild the pass loops' shared [`ModelRegistry`]
+/// from scratch, captured once at [`Gateway::start`]. A supervisor replays
+/// it after a panic so the loops go on serving the same model set with the
 /// same budget and quarantine policy.
 struct RegistrySpec {
     entries: Vec<(ModelKey, RebuildEntry)>,
@@ -229,6 +247,53 @@ impl RegistrySpec {
     }
 }
 
+/// The cores fleet passes may occupy at once, one per pass loop. A pass
+/// leases as many as it has household shards before it runs, waiting in
+/// arrival order until they are free, so overlapping passes fill idle
+/// cores without piling sharded passes onto busy ones. Kernels inside a
+/// pass are not counted: they keep `dispatch::kernel_threads()`.
+struct CoreBudget {
+    total: usize,
+    /// `(free cores, next ticket, ticket now served)`.
+    state: Mutex<(usize, u64, u64)>,
+    changed: Condvar,
+}
+
+impl CoreBudget {
+    fn new(total: usize) -> CoreBudget {
+        CoreBudget { total, state: Mutex::new((total, 0, 0)), changed: Condvar::new() }
+    }
+
+    /// Blocks until every earlier lease is granted and `cores` (at most
+    /// the whole budget) are free.
+    fn lease(&self, cores: usize) -> CoreLease<'_> {
+        let cores = cores.min(self.total);
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let ticket = state.1;
+        state.1 += 1;
+        while state.2 != ticket || state.0 < cores {
+            state = self.changed.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        state.0 -= cores;
+        state.2 += 1;
+        self.changed.notify_all();
+        CoreLease { budget: self, cores }
+    }
+}
+
+/// Cores held by one running pass; returned to the budget on drop.
+struct CoreLease<'a> {
+    budget: &'a CoreBudget,
+    cores: usize,
+}
+
+impl Drop for CoreLease<'_> {
+    fn drop(&mut self) {
+        self.budget.state.lock().unwrap_or_else(PoisonError::into_inner).0 += self.cores;
+        self.budget.changed.notify_all();
+    }
+}
+
 pub(crate) struct Job {
     /// Requested keys, deduplicated, in request order (response order).
     keys: Vec<ModelKey>,
@@ -237,17 +302,27 @@ pub(crate) struct Job {
     group: Vec<ModelKey>,
     households: Vec<HouseholdSeries>,
     detail: Detail,
-    /// The request's `(trace_id, root_span_id)`: batcher stage spans
+    /// The request's `(trace_id, root_span_id)`: pass-loop stage spans
     /// (queue-wait, coalesce, fleet stages) parent to the root span.
     trace: (u64, u64),
     /// When the job entered the queue — the queue-wait stage starts here.
     enqueued: Instant,
     /// `enqueued` on the trace clock.
     enqueued_ns: u64,
-    /// Exactly-once reply channel back to the reactor; dropping it
-    /// unanswered (a batcher panic's unwind) answers the connection
+    /// Exactly-once reply channel back to the reactor, taken by
+    /// [`Job::answer`]; dropping it unanswered (a panicked pass loop's
+    /// supervisor clearing its in-flight jobs) answers the connection
     /// `503` + `Retry-After` automatically.
-    pub(crate) reply: ReplyHandle,
+    reply: Option<ReplyHandle>,
+}
+
+impl Job {
+    /// Answers the request; later calls do nothing.
+    fn answer(&mut self, reply: Reply) {
+        if let Some(handle) = self.reply.take() {
+            handle.send(reply);
+        }
+    }
 }
 
 pub(crate) struct Shared {
@@ -255,17 +330,24 @@ pub(crate) struct Shared {
     pub(crate) addr: SocketAddr,
     pub(crate) models: BTreeMap<ModelKey, ModelMeta>,
     pub(crate) queue: JobQueue<Job>,
+    /// The one registry every pass loop resolves its models from. Held
+    /// only to resolve keys and read counters, never across a pass.
+    registry: Mutex<ModelRegistry>,
+    /// How to rebuild `registry` after a pass loop panics.
+    spec: RegistrySpec,
+    /// The cores running passes hold.
+    cores: CoreBudget,
     pub(crate) metrics: Metrics,
     pub(crate) shutdown: AtomicBool,
     /// Flipped true once every model is warm and the serving threads are
     /// up — the `/readyz` warm gate.
     pub(crate) ready: AtomicBool,
-    /// True while a batcher generation is inside its serving loop (and
-    /// from `Gateway::start` until the first one enters it); false
-    /// between a panic and the respawned generation's first pass, and
-    /// permanently false after shutdown. `/readyz` reports 503 when the
-    /// batcher is down.
-    pub(crate) batcher_alive: AtomicBool,
+    /// Pass loops inside their serving loop. It starts at the loop count
+    /// (so a fresh gateway whose threads are not scheduled yet is not
+    /// reported down), drops by one while a loop rebuilds the registry
+    /// after a panic and for good when a loop exits on shutdown.
+    /// `/readyz` reports 503 "batcher is restarting" only while it is 0.
+    pub(crate) passes_alive: AtomicUsize,
     /// Interrupts the reactor's `epoll_wait`: completions, shutdown. The
     /// pipe lives here so it outlives reactor generations (the supervisor
     /// re-registers it after a respawn).
@@ -273,6 +355,12 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The pass loops' registry. A poisoned lock is taken as is: the
+    /// panicking loop's supervisor rebuilds the registry under it next.
+    fn registry(&self) -> MutexGuard<'_, ModelRegistry> {
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Flags shutdown and pokes the reactor awake.
     pub(crate) fn request_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
@@ -288,15 +376,15 @@ pub struct Gateway {
     shared: Arc<Shared>,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
+    passes: Vec<JoinHandle<()>>,
 }
 
 impl Gateway {
     /// Binds, warms every registered model (lazy checkpoints load now, so
     /// corrupt files fail fast instead of per-request), and spawns the
-    /// reactor, its worker pool, and the batcher thread. The registry
-    /// moves into the batcher — it is the only thread that touches models
-    /// afterwards.
+    /// reactor, its worker pool, and one pass loop per `rayon` pool slot.
+    /// The registry moves behind the pass loops' shared lock — only they
+    /// touch models afterwards.
     ///
     /// # Panics
     ///
@@ -305,7 +393,7 @@ impl Gateway {
     pub fn start(mut registry: ModelRegistry, cfg: GatewayConfig) -> std::io::Result<Gateway> {
         // Start-up runs no inference, so read `NILM_BACKEND` here: a bad
         // value panics on the caller's thread instead of inside every
-        // respawn of the supervised batcher.
+        // respawn of the supervised pass loops.
         nilm_tensor::dispatch::env_backend();
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
@@ -328,41 +416,38 @@ impl Gateway {
         if models.is_empty() {
             return Err(std::io::Error::other("gateway needs at least one registered model"));
         }
-        // Capture the rebuild recipe while every model is warm, so the
-        // supervisor can respawn the batcher after a panic without help.
+        // Capture the rebuild recipe while every model is warm, so a
+        // supervisor can rebuild the registry after a panic without help.
         let spec = RegistrySpec::capture(&mut registry);
+        let loops = available_threads();
         let shared = Arc::new(Shared {
             queue: JobQueue::new(cfg.queue_capacity),
+            registry: Mutex::new(registry),
+            spec,
+            cores: CoreBudget::new(loops),
             metrics: Metrics::new(),
             shutdown: AtomicBool::new(false),
             ready: AtomicBool::new(false),
-            // The first generation is spawned below, before `ready` flips;
-            // counting it alive from the start keeps `/readyz` from
-            // answering "batcher is restarting" on a fresh gateway whose
-            // batcher thread has not been scheduled yet.
-            batcher_alive: AtomicBool::new(true),
+            passes_alive: AtomicUsize::new(loops),
             waker: Waker::new()?,
             cfg,
             addr,
             models,
         });
 
-        let batcher = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("gateway-batcher".into())
-                .spawn(move || supervise_batcher(&shared, registry, &spec))
-                .expect("spawn batcher thread")
-        };
+        let passes = (0..loops)
+            .map(|i| {
+                let shared = shared.clone();
+                std::thread::Builder::new()
+                    .name(format!("gateway-pass-{i}"))
+                    .spawn(move || supervise_passes(&shared))
+                    .expect("spawn pass loop thread")
+            })
+            .collect();
         let handles = crate::reactor::spawn(shared.clone(), listener)?;
         // Models are warm (loaded above) and every serving thread is up.
         shared.ready.store(true, Ordering::SeqCst);
-        Ok(Gateway {
-            shared,
-            reactor: Some(handles.reactor),
-            workers: handles.workers,
-            batcher: Some(batcher),
-        })
+        Ok(Gateway { shared, reactor: Some(handles.reactor), workers: handles.workers, passes })
     }
 
     /// The bound socket address (resolves port 0).
@@ -373,7 +458,7 @@ impl Gateway {
     /// Requests shutdown and joins every server thread: the reactor first
     /// (it closes the listener, drains live connections bounded by their
     /// deadlines, then exits), then the worker pool (its channel closed
-    /// when the reactor dropped it), then the batcher (drains the queue).
+    /// when the reactor dropped it), then the pass loops (drain the queue).
     pub fn shutdown(mut self) {
         self.shared.request_shutdown();
         self.join_all();
@@ -388,17 +473,14 @@ impl Gateway {
 
     fn join_all(&mut self) {
         // Ordered teardown: reactor (accept + connections) → workers →
-        // batcher. The reactor exits only once every connection drained,
-        // dropping the work channel; the idle workers then see it closed
-        // and exit, after which the batcher can conclude the queue is
-        // conclusively empty and close it.
+        // pass loops. The reactor exits only once every connection
+        // drained, dropping the work channel; the idle workers then see it
+        // closed and exit, after which the last pass loop can conclude the
+        // queue is conclusively empty and close it.
         if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.batcher.take() {
+        for h in self.workers.drain(..).chain(self.passes.drain(..)) {
             let _ = h.join();
         }
     }
@@ -431,7 +513,7 @@ fn query_param<'q>(query: &'q str, key: &str) -> Option<&'q str> {
     })
 }
 
-/// Dispatches one request: computes the reply (or enqueues a batcher job
+/// Dispatches one request: computes the reply (or enqueues a pass-loop job
 /// that will) and answers through `reply`. Runs on a worker thread.
 pub(crate) fn route(request: &Request, shared: &Arc<Shared>, reply: ReplyHandle) {
     let (path, query) = match request.path.split_once('?') {
@@ -538,14 +620,14 @@ pub(crate) fn route(request: &Request, shared: &Arc<Shared>, reply: ReplyHandle)
 /// Computes the `/readyz` answer: `200` when the gateway can serve a
 /// localize request right now, else `503` with a JSON reason. Liveness
 /// (`/healthz`) stays `200` in states where readiness correctly drops —
-/// draining on shutdown, batcher respawning, queue saturated.
+/// draining on shutdown, every pass loop respawning, queue saturated.
 fn readyz_reply(shared: &Arc<Shared>) -> Reply {
     let depth = shared.queue.depth();
     let reason = if shared.shutdown.load(Ordering::SeqCst) {
         Some("shutting down")
     } else if !shared.ready.load(Ordering::SeqCst) {
         Some("models not warm yet")
-    } else if !shared.batcher_alive.load(Ordering::SeqCst) {
+    } else if shared.passes_alive.load(Ordering::SeqCst) == 0 {
         Some("batcher is restarting")
     } else if depth >= shared.cfg.queue_capacity {
         Some("queue saturated")
@@ -616,7 +698,7 @@ fn debug_trace_reply(query: &str) -> Reply {
 }
 
 /// Validates a localize request against the model snapshot and enqueues it
-/// for the batcher, which answers through the job's [`ReplyHandle`]. The
+/// for the pass loops, which answer through the job's [`ReplyHandle`]. The
 /// reactor armed this request's deadline at dispatch, so nothing here (or
 /// downstream) can strand the connection.
 fn handle_localize(request: &Request, shared: &Arc<Shared>, reply: ReplyHandle) {
@@ -664,70 +746,80 @@ fn handle_localize(request: &Request, shared: &Arc<Shared>, reply: ReplyHandle) 
         trace: reply.trace,
         enqueued: Instant::now(),
         enqueued_ns: nilm_obs::trace::now_ns(),
-        reply,
+        reply: Some(reply),
     };
     match shared.queue.push(job) {
         Ok(()) => {
             shared.metrics.queue_depth(shared.queue.depth());
         }
-        Err((job, PushError::Full)) => {
+        Err((mut job, PushError::Full)) => {
             shared.metrics.shed();
-            job.reply.send(Reply::unavailable("queue full, retry later", 1));
+            job.answer(Reply::unavailable("queue full, retry later", 1));
         }
-        // The batcher already exited; a job pushed now would never be
+        // The pass loops already exited; a job pushed now would never be
         // served, so answer immediately.
-        Err((job, PushError::Closed)) => {
-            job.reply.send(Reply::unavailable("gateway is shutting down", 1));
+        Err((mut job, PushError::Closed)) => {
+            job.answer(Reply::unavailable("gateway is shutting down", 1));
         }
     }
 }
 
-/// Runs the batcher under a panic supervisor. A clean exit (shutdown) ends
-/// the thread; a panic rolls the dead generation's registry counters into
-/// the metrics base, rebuilds the registry from the startup spec, and
-/// spawns the next generation. In-flight jobs of the dead generation are
-/// not replayed — their reply handles dropped during the unwind, so their
-/// connections are answered `503` + `Retry-After` immediately; jobs still sitting
-/// in the queue carry over untouched and the next generation serves them.
-fn supervise_batcher(shared: &Arc<Shared>, registry: ModelRegistry, spec: &RegistrySpec) {
-    let mut registry = registry;
+/// Closes the queue and answers every job that raced in before the close.
+fn close_queue(shared: &Shared) {
+    for mut job in shared.queue.close() {
+        job.answer(Reply::unavailable("gateway is shutting down", 1));
+    }
+}
+
+/// Runs one pass loop under a panic supervisor. On a panic it counts a
+/// restart, rebuilds the shared registry from the startup spec under its
+/// lock (folding the old registry's counters into the metrics base so
+/// `/metrics` stays monotonic), and only then answers the loop's in-flight
+/// jobs `503` + `Retry-After`, so a client retrying on that answer reaches
+/// the rebuilt registry. Jobs still sitting in the queue are untouched;
+/// this loop, once restarted, or any other serves them. Passes running on
+/// other loops keep their own model handles and finish.
+///
+/// A loop leaves on shutdown once it finds the queue empty; the last one
+/// to leave closes the queue. A loop that panics during shutdown closes it
+/// too: closing twice is harmless.
+fn supervise_passes(shared: &Arc<Shared>) {
+    // Jobs this loop took off the queue and has not answered. They live
+    // here, outside the unwind, so their 503s go out after the rebuild.
+    let mut in_flight: Vec<Job> = Vec::new();
     loop {
-        shared.batcher_alive.store(true, Ordering::SeqCst);
-        let outcome = catch_unwind(AssertUnwindSafe(|| batcher_loop(shared, &mut registry)));
-        shared.batcher_alive.store(false, Ordering::SeqCst);
+        let outcome = catch_unwind(AssertUnwindSafe(|| pass_loop(shared, &mut in_flight)));
+        let alive = shared.passes_alive.fetch_sub(1, Ordering::SeqCst) - 1;
         if outcome.is_ok() {
-            // batcher_loop only returns on shutdown, after closing the
-            // queue and answering every drained job.
-            return;
-        }
-        shared.metrics.batcher_restart();
-        // The panicked generation's counters are still valid (plain
-        // integers); fold them into the base so /metrics stays monotonic.
-        shared.metrics.roll_registry(registry.stats());
-        if shared.shutdown.load(Ordering::SeqCst) {
-            for job in shared.queue.close() {
-                job.reply.send(Reply::unavailable("gateway is shutting down", 1));
+            // `pass_loop` only returns on shutdown with the queue empty.
+            if alive == 0 {
+                close_queue(shared);
             }
             return;
         }
-        registry = spec.build();
+        shared.metrics.batcher_restart();
+        {
+            let mut registry = shared.registry();
+            shared.metrics.roll_registry(registry.stats());
+            *registry = shared.spec.build();
+        }
+        in_flight.clear();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            close_queue(shared);
+            return;
+        }
+        shared.passes_alive.fetch_add(1, Ordering::SeqCst);
     }
 }
 
-/// The micro-batching scheduler. Owns the registry for its generation's
-/// lifetime (the supervisor rebuilds it across panics).
-fn batcher_loop(shared: &Arc<Shared>, registry: &mut ModelRegistry) {
+/// One micro-batching pass loop: pops a job, drains the backlog behind
+/// it, and serves each key set as one fleet pass. Every job it takes sits
+/// in `in_flight` until answered. Returns on shutdown once the queue is
+/// empty.
+fn pass_loop(shared: &Arc<Shared>, in_flight: &mut Vec<Job>) {
     loop {
         let Some(first) = shared.queue.pop_wait(Duration::from_millis(50)) else {
             if shared.shutdown.load(Ordering::SeqCst) && shared.queue.depth() == 0 {
-                // Close the queue atomically: a handler that read the
-                // shutdown flag as false and is pushing right now either
-                // lands before `close` (we answer its job below) or after
-                // (its push fails with `Closed`) — never stranded waiting
-                // on a batcher that is gone.
-                for job in shared.queue.close() {
-                    job.reply.send(Reply::unavailable("gateway is shutting down", 1));
-                }
                 return;
             }
             continue;
@@ -735,32 +827,27 @@ fn batcher_loop(shared: &Arc<Shared>, registry: &mut ModelRegistry) {
         if !shared.cfg.linger.is_zero() {
             std::thread::sleep(shared.cfg.linger);
         }
-        let mut jobs = vec![first];
-        jobs.extend(shared.queue.drain(shared.cfg.max_coalesce.saturating_sub(1)));
+        in_flight.push(first);
+        in_flight.extend(shared.queue.drain(shared.cfg.max_coalesce.saturating_sub(1)));
         // Deliberately after the drain: the injected panic hits with jobs
         // in flight, which is exactly the case supervision must recover.
         nilm_fault::maybe_panic("batcher.panic");
 
-        // Group by requested key set; each group becomes one fleet pass.
-        let mut groups: BTreeMap<Vec<ModelKey>, Vec<Job>> = BTreeMap::new();
-        for job in jobs {
-            groups.entry(job.group.clone()).or_default().push(job);
+        // Group by requested key set; each group becomes one fleet pass,
+        // in key-set order. The sort is stable, so a group's jobs keep
+        // their queue order.
+        in_flight.sort_by(|a, b| a.group.cmp(&b.group));
+        for jobs in in_flight.chunk_by_mut(|a, b| a.group == b.group) {
+            serve_group(shared, jobs);
         }
-        for (keys, jobs) in groups {
-            serve_group(shared, registry, &keys, jobs);
-        }
-        shared.metrics.set_registry_current(registry.stats());
+        in_flight.clear();
     }
 }
 
 /// Serves one group of jobs that requested the same model set: merges all
-/// their households into one fleet pass and routes each job its slice.
-fn serve_group(
-    shared: &Arc<Shared>,
-    registry: &mut ModelRegistry,
-    keys: &[ModelKey],
-    jobs: Vec<Job>,
-) {
+/// their households into one fleet pass and answers each job its slice.
+fn serve_group(shared: &Arc<Shared>, jobs: &mut [Job]) {
+    let keys = jobs[0].group.clone();
     let meta = &shared.models[&keys[0]];
     let cfg = FleetConfig {
         step_s: meta.step_s,
@@ -769,14 +856,13 @@ fn serve_group(
         threads: available_threads(),
         apply_priors: shared.cfg.apply_priors,
     };
-    let mut jobs = jobs;
-    // Every job's queue-wait stage ends here, where the batcher takes
+    // Every job's queue-wait stage ends here, where the pass loop takes
     // ownership of the group; the coalesce stage (merging households into
     // one pass) starts.
     let coalesce_start = Instant::now();
     let coalesce_start_ns = nilm_obs::trace::now_ns();
     let tracing = nilm_obs::trace::enabled();
-    for job in &jobs {
+    for job in jobs.iter() {
         shared.metrics.stage_ms(
             "queue_wait",
             coalesce_start.duration_since(job.enqueued).as_secs_f64() * 1e3,
@@ -794,10 +880,10 @@ fn serve_group(
     }
     let mut merged: Vec<HouseholdSeries> = Vec::new();
     let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(jobs.len());
-    for job in &mut jobs {
+    for job in jobs.iter_mut() {
         // Move, don't clone: the series buffers are not needed in the job
         // after merging, and copying them would double peak memory on the
-        // batcher hot path for long feeds.
+        // pass-loop hot path for long feeds.
         let households = std::mem::take(&mut job.households);
         ranges.push((merged.len(), households.len()));
         merged.extend(households);
@@ -805,7 +891,7 @@ fn serve_group(
     let coalesce_ms = coalesce_start.elapsed().as_secs_f64() * 1e3;
     shared.metrics.stage_ms("coalesce", coalesce_ms);
     if tracing {
-        for job in &jobs {
+        for job in jobs.iter() {
             if job.trace.1 != 0 {
                 nilm_obs::trace::record_span(
                     nilm_obs::trace::TraceId(job.trace.0),
@@ -818,14 +904,25 @@ fn serve_group(
             }
         }
     }
+    // The pass is in flight (the `/metrics` overlap gauge) from here until
+    // its jobs are answered.
+    let _in_flight = shared.metrics.pass_begin();
     // Emulates a pass stuck on slow storage or a runaway computation:
     // sleeps past every waiting handler's deadline, so the requests are
     // answered `503` + `Retry-After` by the deadline path, not by luck.
     if nilm_fault::fires("gateway.slow_pass") {
         std::thread::sleep(shared.cfg.deadline.saturating_mul(2));
     }
+    // The registry lock covers the resolve (load, evict, quarantine) and
+    // the counter snapshot, never the pass.
+    let resolved = {
+        let mut registry = shared.registry();
+        let resolved = resolve_fleet(&mut registry, &keys, &cfg);
+        shared.metrics.set_registry_current(registry.stats());
+        resolved
+    };
     // The fleet pass runs with every job's trace in context: the stage
-    // spans recorded inside `serve_fleet` (preprocess, infer + kernel
+    // spans recorded inside `run_fleet` (preprocess, infer + kernel
     // children, stitch) are duplicated per coalesced request.
     let ctx: Vec<nilm_obs::trace::CtxEntry> = if tracing {
         jobs.iter().filter(|j| j.trace.1 != 0).map(|j| j.trace).collect()
@@ -833,8 +930,12 @@ fn serve_group(
         Vec::new()
     };
     let _ctx = nilm_obs::trace::set_context(&ctx);
-    match serve_fleet(registry, keys, &merged, &cfg) {
-        Ok(result) => {
+    match resolved {
+        Ok(fleet) => {
+            let result = {
+                let _cores = shared.cores.lease(fleet.shards(&merged, &cfg));
+                run_fleet(&fleet, &merged, &cfg)
+            };
             shared.metrics.batch(
                 jobs.len(),
                 result.summary.batches,
@@ -847,7 +948,7 @@ fn serve_group(
             shared.metrics.stage_ms("preprocess", result.summary.preprocess_s * 1e3);
             shared.metrics.stage_ms("infer", result.summary.infer_s * 1e3);
             shared.metrics.stage_ms("stitch", result.summary.stitch_s * 1e3);
-            for (job, (start, len)) in jobs.into_iter().zip(ranges) {
+            for (job, (start, len)) in jobs.iter_mut().zip(ranges) {
                 let rows: Vec<HouseholdRow> = (start..start + len)
                     .map(|hi| {
                         let hh = &result.households[hi];
@@ -867,7 +968,7 @@ fn serve_group(
                     })
                     .collect();
                 let body = localize_response(&job.keys, &rows, job.detail).to_compact();
-                job.reply.send(Reply::new(200, "OK", body));
+                job.answer(Reply::new(200, "OK", body));
             }
         }
         Err(e) => {
@@ -887,9 +988,43 @@ fn serve_group(
                     error_body(&format!("fleet pass failed: {e}")),
                 ),
             };
-            for job in jobs {
-                job.reply.send(reply.clone());
+            for job in jobs.iter_mut() {
+                job.answer(reply.clone());
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn core_leases_are_granted_in_arrival_order() {
+        let budget = Arc::new(CoreBudget::new(2));
+        let held = budget.lease(1);
+        let (tx, rx) = mpsc::channel();
+        // A wide lease waits for both cores; a later narrow one, which
+        // would fit in the free core, must queue behind it, not starve it.
+        let spawn = |name: &'static str, cores: usize| {
+            let (budget, tx) = (budget.clone(), tx.clone());
+            std::thread::spawn(move || {
+                let lease = budget.lease(cores);
+                tx.send(name).unwrap();
+                std::thread::sleep(Duration::from_millis(20));
+                drop(lease);
+            })
+        };
+        let wide = spawn("wide", 2);
+        std::thread::sleep(Duration::from_millis(50));
+        let narrow = spawn("narrow", 1);
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err(), "a lease jumped the queue");
+        drop(held);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok("wide"));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok("narrow"));
+        wide.join().unwrap();
+        narrow.join().unwrap();
+        assert_eq!(budget.lease(5).cores, 2, "a lease is capped at the whole budget");
     }
 }

@@ -17,12 +17,15 @@
 //!                               │
 //!                          bounded job queue ──(full)→ 503
 //!                               │
-//!                          batcher thread (owns the ModelRegistry)
-//!                               │ drain queue, group by key set,
-//!                               │ merge households, ONE fleet pass
+//!                          pass loops, one per rayon pool slot
+//!                               │ each: pop + drain queue, group by
+//!                               │ key set, merge households
 //!                               ▼
-//!                  camal::fleet::serve_fleet (shared GEMM batches)
-//!                               │ split per request
+//!                  camal::fleet::resolve_fleet (shared ModelRegistry,
+//!                               │ locked for the resolve only)
+//!                               ▼
+//!                  camal::fleet::run_fleet (ONE pass, shared GEMM
+//!                               │ batches), split per request
 //!                               ▼
 //!                  completions channel ──▶ reactor ──▶ HTTP responses
 //! ```
@@ -37,12 +40,13 @@
 //! - [`protocol`] — the `POST /v1/localize` JSON request/response schemas
 //!   over [`nilm_json`].
 //! - [`queue`] — the bounded job queue between the workers and the
-//!   batcher (load shedding with 503 when full).
-//! - [`metrics`] — request counters, micro-batch size histogram, reactor
-//!   counters (`epoll_wakeups`, `partial_writes`, backlog peaks), queue
-//!   depth and latency percentiles, served as JSON on `GET /metrics`.
-//! - [`gateway`] — the server: configuration, routing, the batcher
-//!   thread, supervision, graceful shutdown.
+//!   pass loops (load shedding with 503 when full).
+//! - [`metrics`] — request counters, micro-batch size histogram, pass
+//!   overlap, reactor counters (`epoll_wakeups`, `partial_writes`, backlog
+//!   peaks), queue depth and latency percentiles, served as JSON on
+//!   `GET /metrics`.
+//! - [`gateway`] — the server: configuration, routing, the pass loops,
+//!   supervision, graceful shutdown.
 //! - [`loadgen`] — a real-socket load generator (optionally pipelined)
 //!   measuring requests/s and latency percentiles against a running
 //!   gateway.

@@ -11,12 +11,15 @@
 //! latency distribution survives indefinitely instead of a lossy last-N
 //! window.
 //!
-//! Recovery is observable, not just tested: the document carries batcher
-//! restarts, per-request deadline timeouts, fleet shard retries and
-//! degraded households, the registry's load-failure / quarantine counters
-//! (kept monotonic across batcher restarts by folding each dead
-//! generation's totals into a base), and — when fault injection is armed —
-//! per-point trial/fire counts from [`nilm_fault::stats`]. Cumulative
+//! Recovery is observable, not just tested: the document carries pass-loop
+//! restarts (`batcher_restarts`), per-request deadline timeouts, fleet
+//! shard retries and degraded households, the registry's load-failure /
+//! quarantine counters (kept monotonic across registry rebuilds by folding
+//! each replaced registry's totals into a base), and — when fault
+//! injection is armed —
+//! per-point trial/fire counts from [`nilm_fault::stats`]. Pass overlap
+//! shows as a gauge of fleet passes in flight and a counter of passes that
+//! started while another was running. Cumulative
 //! per-`(op, shape, backend)` kernel timings from
 //! [`nilm_obs::kernel::stats`] ride along in both exporters.
 
@@ -52,7 +55,11 @@ struct Inner {
     /// Per-pipeline-stage duration distributions (`parse`, `queue_wait`,
     /// `coalesce`, `preprocess`, `infer`, `stitch`, `write`).
     stages: BTreeMap<&'static str, Histogram>,
-    /// Batcher generations respawned after a panic.
+    /// Fleet passes running now, and passes that started while another
+    /// was running (the pass loops' overlap).
+    passes_in_flight: usize,
+    passes_overlapped: u64,
+    /// Pass-loop restarts after a panic.
     batcher_restarts: u64,
     /// Localize requests answered 503 because the per-request deadline
     /// expired before the batcher replied.
@@ -61,8 +68,8 @@ struct Inner {
     shard_retries: u64,
     /// Households answered with degraded placeholder rows.
     households_degraded: u64,
-    /// Registry counters folded in from batcher generations that ended
-    /// (panicked or exited); `registry_current` is the live generation.
+    /// Registry counters folded in from registries rebuilt after a pass
+    /// loop panicked; `registry_current` is the live registry.
     registry_base: RegistryStats,
     registry_current: RegistryStats,
     /// `epoll_wait` returns in the reactor (each is one wake of the event
@@ -130,7 +137,7 @@ impl Metrics {
         m.queue_peak = m.queue_peak.max(depth);
     }
 
-    /// Records one batcher pass: how many requests it coalesced and the
+    /// Records one fleet pass: how many requests it coalesced and the
     /// fleet-pass work counters.
     pub fn batch(&self, requests: usize, gemm_batches: usize, windows: usize, inferences: usize) {
         let mut m = self.inner.lock().expect("metrics lock");
@@ -152,13 +159,25 @@ impl Metrics {
         m.stages.entry(stage).or_default().record_ms(ms);
     }
 
-    /// Counts one batcher respawn after a panic.
+    /// Marks one fleet pass in flight until the returned guard drops (an
+    /// unwinding pass included), counting it as overlapped when another
+    /// pass was already running.
+    pub fn pass_begin(&self) -> PassInFlight<'_> {
+        let mut m = self.inner.lock().expect("metrics lock");
+        if m.passes_in_flight > 0 {
+            m.passes_overlapped += 1;
+        }
+        m.passes_in_flight += 1;
+        PassInFlight(self)
+    }
+
+    /// Counts one pass-loop restart after a panic.
     pub fn batcher_restart(&self) {
         self.inner.lock().expect("metrics lock").batcher_restarts += 1;
     }
 
-    /// Counts one localize request that hit its deadline before the
-    /// batcher replied (answered `503` + `Retry-After`).
+    /// Counts one localize request that hit its deadline before its pass
+    /// replied (answered `503` + `Retry-After`).
     pub fn deadline_timeout(&self) {
         self.inner.lock().expect("metrics lock").deadline_timeouts += 1;
     }
@@ -171,14 +190,14 @@ impl Metrics {
         m.households_degraded += degraded as u64;
     }
 
-    /// Updates the live registry counters (the current batcher generation).
+    /// Updates the live registry counters.
     pub fn set_registry_current(&self, stats: RegistryStats) {
         self.inner.lock().expect("metrics lock").registry_current = stats;
     }
 
-    /// Folds a dead batcher generation's final registry counters into the
-    /// base, so the exported totals stay monotonic across restarts. The
-    /// fresh generation starts from zero.
+    /// Folds a replaced registry's final counters into the base, so the
+    /// exported totals stay monotonic across rebuilds. The fresh registry
+    /// starts from zero.
     pub fn roll_registry(&self, last_seen: RegistryStats) {
         let mut m = self.inner.lock().expect("metrics lock");
         m.registry_base = add_stats(m.registry_base, last_seen);
@@ -276,6 +295,8 @@ impl Metrics {
             ("partial_writes", JsonValue::Number(m.partial_writes as f64)),
             ("conn_backlog_peak", JsonValue::Number(m.conn_backlog_peak as f64)),
             ("reactor_restarts", JsonValue::Number(m.reactor_restarts as f64)),
+            ("passes_in_flight", JsonValue::Number(m.passes_in_flight as f64)),
+            ("passes_overlapped_total", JsonValue::Number(m.passes_overlapped as f64)),
             ("batcher_restarts", JsonValue::Number(m.batcher_restarts as f64)),
             ("deadline_timeouts", JsonValue::Number(m.deadline_timeouts as f64)),
             ("shard_retries_total", JsonValue::Number(m.shard_retries as f64)),
@@ -383,7 +404,15 @@ impl Metrics {
 
         w.family("nilm_reactor_restarts_total", "counter", "Reactor respawns after a panic.");
         w.sample("nilm_reactor_restarts_total", &[], m.reactor_restarts as f64);
-        w.family("nilm_batcher_restarts_total", "counter", "Batcher respawns after a panic.");
+        w.family("nilm_passes_in_flight", "gauge", "Fleet passes running now.");
+        w.sample("nilm_passes_in_flight", &[], m.passes_in_flight as f64);
+        w.family(
+            "nilm_passes_overlapped_total",
+            "counter",
+            "Fleet passes that started while another pass was running.",
+        );
+        w.sample("nilm_passes_overlapped_total", &[], m.passes_overlapped as f64);
+        w.family("nilm_batcher_restarts_total", "counter", "Pass-loop restarts after a panic.");
         w.sample("nilm_batcher_restarts_total", &[], m.batcher_restarts as f64);
         w.family(
             "nilm_deadline_timeouts_total",
@@ -404,7 +433,7 @@ impl Metrics {
         w.family(
             "nilm_registry_events_total",
             "counter",
-            "Model registry events across all batcher generations.",
+            "Model registry events across every registry rebuild.",
         );
         for (event, n) in [
             ("hits", reg.hits),
@@ -434,6 +463,16 @@ impl Metrics {
         w.sample("nilm_trace_ring_spans", &[], nilm_obs::trace::ring_len() as f64);
 
         w.into_string()
+    }
+}
+
+/// A fleet pass in flight; see [`Metrics::pass_begin`].
+pub struct PassInFlight<'a>(&'a Metrics);
+
+impl Drop for PassInFlight<'_> {
+    fn drop(&mut self) {
+        let mut m = self.0.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        m.passes_in_flight -= 1;
     }
 }
 
@@ -536,7 +575,19 @@ mod tests {
         m.latency_ms("localize", 10.0);
         m.latency_ms("localize", 30.0);
         m.stage_ms("infer", 8.5);
+        let first = m.pass_begin();
+        drop(m.pass_begin());
+        drop(m.pass_begin());
         let doc = m.to_json(1);
+        assert_eq!(doc.get("passes_in_flight").and_then(JsonValue::as_f64), Some(1.0));
+        assert_eq!(doc.get("passes_overlapped_total").and_then(JsonValue::as_f64), Some(2.0));
+        drop(first);
+        drop(m.pass_begin());
+        assert_eq!(
+            m.to_json(1).get("passes_overlapped_total").and_then(JsonValue::as_f64),
+            Some(2.0),
+            "a pass that starts alone does not overlap"
+        );
         nilm_json::validate(&doc.to_pretty()).unwrap();
         assert_eq!(doc.get("requests_total").and_then(JsonValue::as_f64), Some(2.0));
         assert_eq!(doc.get("shed_total").and_then(JsonValue::as_f64), Some(1.0));
@@ -614,5 +665,7 @@ mod tests {
         assert!(text.contains("le=\"+Inf\"}"));
         assert!(text.contains("nilm_stage_duration_seconds_count{stage=\"infer\"} 1"));
         assert!(text.contains("nilm_queue_depth 3"));
+        assert!(text.contains("nilm_passes_in_flight 0"));
+        assert!(text.contains("nilm_passes_overlapped_total 0"));
     }
 }

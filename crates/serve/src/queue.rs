@@ -1,11 +1,13 @@
-//! The bounded job queue between the gateway's decode workers and the batcher.
+//! The bounded job queue between the gateway's decode workers and its pass
+//! loops.
 //!
-//! Workers [`push`](JobQueue::push) accepted localize jobs; the batcher
+//! Workers [`push`](JobQueue::push) accepted localize jobs; each pass loop
 //! [`pop_wait`](JobQueue::pop_wait)s for the first job of a pass and then
 //! [`drain`](JobQueue::drain)s whatever else queued up meanwhile — that
-//! backlog is exactly what gets coalesced into one shared fleet pass. A
-//! full queue rejects the push (the worker answers `503`), which bounds
-//! both memory and tail latency under overload.
+//! backlog is exactly what gets coalesced into one shared fleet pass. Many
+//! producers and many consumers share the queue; each job goes to exactly
+//! one consumer. A full queue rejects the push (the worker answers `503`),
+//! which bounds both memory and tail latency under overload.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -17,7 +19,7 @@ struct State<T> {
     closed: bool,
 }
 
-/// A bounded MPSC queue with blocking pop. `T` is the job type; the
+/// A bounded MPMC queue with blocking pop. `T` is the job type; the
 /// gateway instantiates it with its internal job struct.
 pub struct JobQueue<T> {
     inner: Mutex<State<T>>,
@@ -30,7 +32,7 @@ pub struct JobQueue<T> {
 pub enum PushError {
     /// The queue is at capacity (load shed).
     Full,
-    /// The consumer has shut down; no job pushed now would ever be served.
+    /// The consumers have shut down; no job pushed now would ever be served.
     Closed,
 }
 
@@ -48,7 +50,7 @@ impl<T> JobQueue<T> {
     }
 
     /// Enqueues a job, or rejects it when the queue is full (load shed) or
-    /// closed (the consumer is gone). A rejected job is handed back to the
+    /// closed (the consumers are gone). A rejected job is handed back to the
     /// caller — jobs carry reply handles that must answer the *right* 503,
     /// not a generic drop-path fallback. The `queue.full` fault point
     /// injects artificial capacity rejections for overload testing.
@@ -66,14 +68,15 @@ impl<T> JobQueue<T> {
         Ok(())
     }
 
-    /// Blocks up to `timeout` for a job. `None` on timeout — the batcher
-    /// uses that to re-check the shutdown flag.
+    /// Blocks up to `timeout` for a job. `None` on timeout or once the
+    /// queue is closed and empty — a pass loop uses that to re-check the
+    /// shutdown flag.
     pub fn pop_wait(&self, timeout: Duration) -> Option<T> {
         let mut q = self.inner.lock().expect("queue lock");
         if q.jobs.is_empty() {
             let (guard, _) = self
                 .nonempty
-                .wait_timeout_while(q, timeout, |q| q.jobs.is_empty())
+                .wait_timeout_while(q, timeout, |q| q.jobs.is_empty() && !q.closed)
                 .expect("queue lock");
             q = guard;
         }
@@ -89,14 +92,20 @@ impl<T> JobQueue<T> {
     }
 
     /// Marks the queue closed and returns every job still enqueued, in one
-    /// atomic step. The consumer calls this when it exits so (a) any job
-    /// that raced in just before closing is handed back for a reply rather
-    /// than stranded, and (b) later pushes fail with [`PushError::Closed`]
-    /// instead of waiting forever on a consumer that is gone.
+    /// atomic step, and wakes every blocked [`pop_wait`](JobQueue::pop_wait).
+    /// The last consumer calls this when it exits so (a) any job that
+    /// raced in just before closing is handed back for a reply rather than
+    /// stranded, and (b) later pushes fail with [`PushError::Closed`]
+    /// instead of waiting forever on consumers that are gone. Idempotent:
+    /// a second close returns only what was pushed since (nothing, as
+    /// pushes fail once closed).
     pub fn close(&self) -> Vec<T> {
         let mut q = self.inner.lock().expect("queue lock");
         q.closed = true;
-        q.jobs.drain(..).collect()
+        let stragglers = q.jobs.drain(..).collect();
+        drop(q);
+        self.nonempty.notify_all();
+        stragglers
     }
 
     /// Current queue depth.
@@ -131,6 +140,7 @@ mod tests {
         assert_eq!(q.close(), vec![1, 2], "closing drains racing jobs atomically");
         assert_eq!(q.push(3), Err((3, PushError::Closed)));
         assert_eq!(q.depth(), 0);
+        assert_eq!(q.close(), Vec::<u32>::new(), "a second close is a no-op");
     }
 
     #[test]
@@ -141,5 +151,26 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         q.push(7).unwrap();
         assert_eq!(t.join().unwrap(), Some(7));
+    }
+
+    #[test]
+    fn close_wakes_every_blocked_consumer() {
+        let q: Arc<JobQueue<u32>> = Arc::new(JobQueue::new(8));
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let q = q.clone();
+                std::thread::spawn(move || {
+                    let start = std::time::Instant::now();
+                    (q.pop_wait(Duration::from_secs(30)), start.elapsed())
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        q.close();
+        for t in waiters {
+            let (job, waited) = t.join().unwrap();
+            assert_eq!(job, None);
+            assert!(waited < Duration::from_secs(10), "close left a consumer asleep");
+        }
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! ```text
 //!            epoll_wait                    mpsc                 JobQueue
-//!  sockets ─────────────▶ reactor thread ──────▶ worker pool ──────────▶ batcher
-//!            readiness     │  ▲   parse/write     decode+route            fleet pass
+//!  sockets ─────────────▶ reactor thread ──────▶ worker pool ──────────▶ pass loops
+//!            readiness     │  ▲   parse/write     decode+route            fleet passes
 //!                          │  │   state machines  validate
 //!                          │  └──────────────────────┴──────────────────────┘
 //!                          │        completions channel + wake pipe
@@ -39,8 +39,8 @@
 //! the new generation and is dropped as stale; clients reconnect and
 //! retry. Shutdown is ordered: the listener closes first, live
 //! connections drain (bounded by their deadlines), then the loop exits,
-//! the work channel drops (workers exit), and the batcher closes the
-//! queue.
+//! the work channel drops (workers exit), and the last pass loop closes
+//! the queue.
 
 use crate::conn::{Conn, WriteProgress};
 use crate::gateway::{route, Reply, Shared};
@@ -96,7 +96,8 @@ impl CompletionSender {
 ///
 /// Exactly one reply reaches the reactor per handle: either an explicit
 /// [`ReplyHandle::send`], or — if the handle is dropped unanswered, which
-/// is what a batcher panic's unwind does to in-flight jobs — an automatic
+/// is what a panicked pass loop's supervisor does to its in-flight jobs,
+/// once it has rebuilt the registry — an automatic
 /// `503 Retry-After` so the waiting connection learns about the fault
 /// immediately instead of burning its full deadline.
 pub(crate) struct ReplyHandle {
@@ -286,7 +287,7 @@ fn run_reactor(
         if shutting_down {
             if let Some(l) = listener.take() {
                 // Stop accepting before draining: shutdown order is
-                // accept → connections → batcher.
+                // accept → connections → pass loops.
                 let _ = poller.deregister(l.as_raw_fd());
             }
         }

@@ -240,6 +240,66 @@ fn wedged_pass_hits_the_deadline_not_a_hang() {
 }
 
 #[test]
+fn a_wedged_pass_stalls_another_connection_only_at_width_one() {
+    // Request A's pass wedges past its deadline. Request B, sent on a
+    // second connection once A's pass holds the fault, is a separate pass:
+    // with two or more pass loops a free loop serves it at once; with one,
+    // it waits behind A's pass and meets its own deadline.
+    let _g = faults();
+    let mut registry = ModelRegistry::unbounded();
+    registry.insert(kettle(), random_model(&[5], 3));
+    let mut oracle = random_model(&[5], 3);
+    let deadline = Duration::from_secs(1);
+    let cfg = GatewayConfig { deadline, ..test_config() };
+    let batch = cfg.batch_windows;
+    let gateway = Gateway::start(registry, cfg).expect("gateway starts");
+    let addr = gateway.addr().to_string();
+
+    let body_a =
+        localize_request(&[kettle()], &[toy_household(2, 5)], Detail::Summary).to_compact();
+    let households_b = vec![toy_household(3, 6)];
+    let body_b = localize_request(&[kettle()], &households_b, Detail::Full).to_compact();
+    let expected_b = expected_body(&mut oracle, &households_b, batch);
+
+    nilm_fault::arm_limited("gateway.slow_pass", 1.0, 9, Some(1));
+    let a_sent = Instant::now();
+    let a = {
+        let addr = addr.clone();
+        std::thread::spawn(move || post_localize(&addr, &body_a))
+    };
+    let wedged = || {
+        nilm_fault::stats().iter().any(|(point, s)| point == "gateway.slow_pass" && s.fired == 1)
+    };
+    while !wedged() {
+        assert!(a_sent.elapsed() < Duration::from_secs(10), "A's pass never took the fault");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let b_sent = Instant::now();
+    let b = post_localize(&addr, &body_b);
+    let b_took = b_sent.elapsed();
+    if camal::fleet::available_threads() >= 2 {
+        assert_eq!(b.status, 200, "{:?}", b.body_str());
+        assert_eq!(b.body_str().unwrap(), expected_b, "B must match the direct serve");
+        assert!(
+            b_took < deadline / 2 && a_sent.elapsed() < deadline,
+            "B took {b_took:?}, {:?} after A was sent: it waited on A's wedged pass",
+            a_sent.elapsed()
+        );
+    } else {
+        assert_503_with_retry_after(&b);
+        assert!(b.body_str().unwrap().contains("deadline"), "{:?}", b.body_str());
+    }
+    let a = a.join().expect("client A");
+    assert_503_with_retry_after(&a);
+    assert!(a.body_str().unwrap().contains("deadline"), "{:?}", a.body_str());
+
+    nilm_fault::disarm_all();
+    // Shutdown joins the wedged loop once its 2 s nap ends.
+    gateway.shutdown();
+}
+
+#[test]
 fn per_request_deadline_header_overrides_the_config() {
     let _g = faults();
     let mut registry = ModelRegistry::unbounded();

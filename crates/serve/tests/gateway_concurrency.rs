@@ -299,6 +299,141 @@ fn sixty_four_pipelined_keep_alive_connections_stay_byte_identical() {
     gateway.shutdown();
 }
 
+/// A metrics counter from `GET /metrics`.
+fn metric(addr: &str, name: &str) -> usize {
+    let (status, metrics) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    let doc = nilm_json::parse(&metrics).expect("metrics must be valid JSON");
+    doc.get(name).and_then(JsonValue::as_usize).unwrap_or_else(|| panic!("{name} in metrics"))
+}
+
+/// Blocks until `/metrics` shows a fleet pass in flight.
+fn wait_for_a_pass_in_flight(addr: &str) {
+    let start = std::time::Instant::now();
+    while metric(addr, "passes_in_flight") == 0 {
+        assert!(start.elapsed() < Duration::from_secs(30), "the large pass never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A gateway over one kettle model, the model's oracle copy, and a large
+/// and a small request with their expected bodies. The large request's
+/// pass runs long enough that the small one, sent once it is in flight,
+/// starts before it ends; it is one household, so it runs as one shard
+/// and leaves the other cores to the small pass.
+struct LargeAndSmall {
+    gateway: Gateway,
+    addr: String,
+    requests: [String; 2],
+    expected: [String; 2],
+}
+
+fn large_and_small() -> LargeAndSmall {
+    let mut registry = ModelRegistry::unbounded();
+    registry.insert(kettle(), random_model(&[5, 7, 9], 91));
+    let mut oracle = vec![(kettle(), random_model(&[5, 7, 9], 91))];
+    let cfg = test_config();
+    let batch = cfg.batch_windows;
+    let gateway = Gateway::start(registry, cfg).expect("gateway starts");
+    let addr = gateway.addr().to_string();
+    let large = vec![toy_household(2048, 300)];
+    let small = vec![toy_household(1, 400)];
+    let requests = [&large, &small].map(|households| {
+        let body = localize_request(&[kettle()], households, Detail::Full).to_compact();
+        format!(
+            "POST /v1/localize HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    });
+    let expected = [&large, &small]
+        .map(|households| expected_body(&[kettle()], &mut oracle, households, batch));
+    LargeAndSmall { gateway, addr, requests, expected }
+}
+
+/// Whether the gateway runs more than one pass loop.
+fn passes_can_overlap() -> bool {
+    camal::fleet::available_threads() >= 2
+}
+
+#[test]
+fn pipelined_responses_leave_in_request_order_when_passes_finish_out_of_order() {
+    // One connection pipelines a large request, then — once the large pass
+    // is running — a small one. With two or more pass loops the small pass
+    // runs beside the large one and finishes first; the connection's
+    // outbox must still send the large response first, and both must equal
+    // the direct stream::serve baseline byte for byte.
+    let LargeAndSmall { gateway, addr, requests, expected } = large_and_small();
+    let stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut reader = BufReader::new(&stream);
+    (&stream).write_all(requests[0].as_bytes()).expect("send large");
+    wait_for_a_pass_in_flight(&addr);
+    (&stream).write_all(requests[1].as_bytes()).expect("send small");
+    // The first pass to finish is the small one (its one window is the
+    // first scored) exactly when passes overlap.
+    let start = std::time::Instant::now();
+    let first_scored = loop {
+        let scored = metric(&addr, "windows_scored_total");
+        if scored > 0 {
+            break scored;
+        }
+        assert!(start.elapsed() < Duration::from_secs(60), "no pass finished");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(first_scored == 1, passes_can_overlap(), "{first_scored} windows scored first");
+    for (i, want) in expected.iter().enumerate() {
+        let r = read_response(&mut reader).expect("pipelined response");
+        assert_eq!(r.status, 200, "{:?}", r.body_str());
+        assert_eq!(r.body_str().expect("UTF-8"), want, "response {i} out of order or diverged");
+    }
+    let overlapped = metric(&addr, "passes_overlapped_total");
+    if passes_can_overlap() {
+        assert!(overlapped > 0, "the small pass never ran beside the large one");
+    } else {
+        assert_eq!(overlapped, 0, "one pass loop cannot overlap passes");
+    }
+    gateway.shutdown();
+}
+
+#[test]
+fn passes_overlap_across_connections_only_when_the_pool_is_wider_than_one() {
+    // Two connections: the second sends its request while the first's
+    // pass is running. The overlap counter must see it at widths >= 2 and
+    // stay exactly 0 at width 1, where one loop serves both in turn.
+    let LargeAndSmall { gateway, addr, requests, expected } = large_and_small();
+    let clients: Vec<TcpStream> =
+        (0..2).map(|_| TcpStream::connect(&addr).expect("connect")).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = clients
+            .iter()
+            .zip(requests.iter().zip(&expected))
+            .enumerate()
+            .map(|(i, (stream, (request, want)))| {
+                if i == 1 {
+                    wait_for_a_pass_in_flight(&addr);
+                }
+                (&*stream).write_all(request.as_bytes()).expect("send");
+                scope.spawn(move || {
+                    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+                    let r = read_response(&mut BufReader::new(stream)).expect("response");
+                    assert_eq!(r.status, 200, "{:?}", r.body_str());
+                    assert_eq!(r.body_str().expect("UTF-8"), want, "connection {i} diverged");
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("client thread");
+        }
+    });
+    let overlapped = metric(&addr, "passes_overlapped_total");
+    if passes_can_overlap() {
+        assert!(overlapped > 0, "two connections' passes never overlapped");
+    } else {
+        assert_eq!(overlapped, 0, "one pass loop cannot overlap passes");
+    }
+    gateway.shutdown();
+}
+
 #[test]
 fn flooding_connection_cannot_starve_a_victim_connection() {
     // One connection floods deep pipelined bursts of a cheap route while a
