@@ -88,8 +88,9 @@ if [ "$MODE" != "quick" ]; then
     # shard-invariance, coalescing, ensemble-selection, deterministic-fault
     # and gateway byte-identity claims must hold on one core (shards run
     # serially), on two truly parallel ones, and oversubscribed at four.
-    # The gateway runs one pass loop per pool slot, so the same sweep runs
-    # its chaos, concurrency and tracing suites with one loop (passes never
+    # The gateway runs one pass loop per pool slot, and the pass loops
+    # decode localize requests, so the same sweep runs its chaos,
+    # concurrency and tracing suites with one decoding loop (passes never
     # overlap) and with two and four (they do, and trace contexts are set
     # on several pass threads at once).
     for T in 1 2 4; do
@@ -100,13 +101,6 @@ if [ "$MODE" != "quick" ]; then
         RAYON_NUM_THREADS=$T cargo test -q -p camal --release --lib ensemble::
         RAYON_NUM_THREADS=$T cargo test -q -p nilm_serve --release --test gateway_concurrency --test chaos --test obs_trace
     done
-    # Decode-worker sweep: gateway byte-identity with one worker and with two
-    # decoding concurrently off the reactor.
-    for W in 1 2; do
-        step "reactor worker sweep NILM_REACTOR_WORKERS=$W: gateway_concurrency"
-        NILM_REACTOR_WORKERS=$W cargo test -q -p nilm_serve --release --test gateway_concurrency
-    done
-
     # Gateway bit-identity + HTTP abuse tests under the optimized build —
     # release is the production code path the byte-equality claim is about.
     step "cargo test -p nilm_serve --release (gateway concurrency + HTTP edge cases)"
@@ -245,7 +239,7 @@ import json, sys
 doc = json.load(open(sys.argv[1] + "/trace.json"))
 spans = doc["spans"]
 names = {s["name"] for s in spans}
-required = {"request", "parse", "queue_wait", "coalesce",
+required = {"request", "parse", "queue_wait", "decode", "coalesce",
             "preprocess", "infer", "stitch", "write", "kernel"}
 missing = required - names
 assert not missing, f"trace is missing stages: {sorted(missing)}"

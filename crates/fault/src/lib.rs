@@ -42,7 +42,7 @@
 //! | `gateway.slow_pass`    | a gateway pass stalls past the request deadline    |
 //! | `queue.full`           | a queue push reports `Full` (load shed)            |
 //! | `reactor.panic`        | the gateway's epoll event loop panics mid-tick     |
-//! | `worker.wedge`         | a gateway worker naps past the request deadline    |
+//! | `worker.wedge`         | a pass loop naps in decode past the deadline       |
 //! | `conn.short_write`     | socket flushes write 1 byte then report blocked    |
 //!
 //! ```

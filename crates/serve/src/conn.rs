@@ -43,8 +43,9 @@ pub(crate) struct InFlight {
     /// Pre-minted root "request" span ID (0 when tracing is off); every
     /// stage span of this request parents to it.
     pub root_span: u64,
-    /// When the request was handed to the worker pool; latency and the
-    /// request deadline are measured from here.
+    /// When the reactor parsed the request and dispatched it (answered
+    /// inline, or queued for a pass loop); latency and the request
+    /// deadline are measured from here.
     pub dispatched: Instant,
     /// `dispatched` on the trace clock (ns since the trace epoch).
     pub dispatched_ns: u64,

@@ -1,21 +1,24 @@
-//! The gateway server: the epoll reactor front end, the decode worker
-//! pool, and the micro-batching pass loops.
+//! The gateway server: the epoll reactor front end and the
+//! micro-batching pass loops.
 //!
 //! Connections are owned by one event-loop thread (the **reactor**, see
 //! the private `reactor` module): readiness-driven incremental parsing, pipelined
 //! in-order responses, non-blocking writes, per-connection backpressure,
-//! and per-request deadlines all live there. Decoded requests go to a
-//! small **worker pool** that JSON-parses + validates them; localize jobs
-//! land on the bounded [`JobQueue`].
+//! and per-request deadlines all live there. The reactor answers the cheap
+//! routes (health, readiness, metrics, model listing, traces, shutdown)
+//! inline and puts each `POST /v1/localize` request, body still undecoded,
+//! on the bounded [`JobQueue`] — one hand-off to a pass loop, and one back.
 //!
 //! Localize jobs are served by **pass loops** (the batcher): one
 //! persistent thread per `rayon` pool slot
 //! ([`camal::fleet::available_threads`]), all popping from the one queue.
 //! A loop pops the first waiting job, drains whatever else queued up
-//! behind it (the concurrent backlog), groups jobs by requested key set,
-//! and serves each group as **one** fleet pass with every job's households
-//! merged — so windows from different requests share GEMM batches — then
-//! renders and sends the responses itself. While one loop runs a pass, the
+//! behind it (the concurrent backlog), decodes and validates each request
+//! it took (answering malformed ones `400` and unknown models `404`
+//! itself), groups the rest by requested key set, and serves each group as
+//! **one** fleet pass with every job's households merged — so windows from
+//! different requests share GEMM batches — then renders and sends the
+//! responses itself. While one loop runs a pass, the
 //! others keep taking jobs, so a request never waits out another
 //! connection's pass while a core is free. All loops share **one**
 //! [`ModelRegistry`] behind a mutex, held only to resolve a pass's keys
@@ -40,23 +43,22 @@
 //! connection flood past `max_connections` sheds with `503` at accept.
 //! Shutdown: [`Gateway::shutdown`] (or `POST /admin/shutdown`) closes the
 //! listener first, lets live connections drain their in-flight requests
-//! (bounded by their deadlines), then stops the workers and lets the
-//! last pass loop close the queue — accept → connections → pass loops, in
-//! order.
+//! (bounded by their deadlines), then lets the last pass loop close the
+//! queue — reactor → pass loops, in order.
 //!
 //! Failure is a first-class input, not an afterthought. Each pass loop
 //! runs under a supervisor (`supervise_passes`): a panic anywhere in a
-//! pass is caught, the shared registry is rebuilt under its lock from the
-//! startup `RegistrySpec` (file-backed checkpoints re-register their
-//! paths, pinned models are re-inserted from the `Arc`s taken at warm
-//! time — inference never writes to a model, so a panic cannot have
-//! damaged them), and only then are that loop's in-flight jobs answered
-//! `503` + `Retry-After` (their `ReplyHandle`s drop) instead of hanging or
-//! `500`ing, so a client that retries reaches the rebuilt registry. Passes
-//! on other loops keep their model handles and finish; the panicked loop
-//! restarts. The reactor arms a deadline per
+//! decode or a pass is caught, the shared registry is rebuilt under its
+//! lock from the startup `RegistrySpec` (file-backed checkpoints
+//! re-register their paths, pinned models are re-inserted from the `Arc`s
+//! taken at warm time — inference never writes to a model, so a panic
+//! cannot have damaged them), and only then are that loop's in-flight jobs
+//! (decoded or not) answered `503` + `Retry-After` (their `ReplyHandle`s
+//! drop) instead of hanging or `500`ing, so a client that retries reaches
+//! the rebuilt registry. Passes on other loops keep their model handles
+//! and finish; the panicked loop restarts. The reactor arms a deadline per
 //! request ([`GatewayConfig::deadline`], overridable via the
-//! `X-Camal-Deadline-Ms` header), so even a wedged worker or batcher pass
+//! `X-Camal-Deadline-Ms` header), so even a wedged decode or batcher pass
 //! turns into a timely `503` + `Retry-After`. The reactor itself is
 //! supervised too: an event-loop panic closes that generation's sockets
 //! cleanly and respawns the loop. Registry load failures and quarantines
@@ -65,7 +67,9 @@
 
 use crate::http::{HttpLimits, Request};
 use crate::metrics::Metrics;
-use crate::protocol::{error_body, localize_response, parse_localize, Detail, HouseholdRow};
+use crate::protocol::{
+    error_body, localize_response, parse_localize, Detail, HouseholdRow, LocalizeRequest,
+};
 use crate::queue::{JobQueue, PushError};
 use crate::reactor::ReplyHandle;
 use crate::sys::Waker;
@@ -92,9 +96,6 @@ pub struct GatewayConfig {
     pub queue_capacity: usize,
     /// Maximum requests coalesced into one batcher pass.
     pub max_coalesce: usize,
-    /// Extra wait after the first job of a pass, letting concurrent
-    /// requests land in the same pass. Zero relies on natural backlog.
-    pub linger: Duration,
     /// Windows per GEMM batch inside a fleet pass.
     pub batch_windows: usize,
     /// Maximum open connections the reactor holds; connections beyond it
@@ -110,13 +111,12 @@ pub struct GatewayConfig {
     /// How long the reactor waits for a request's reply before answering
     /// `503` + `Retry-After` on its own. Overridable per request with the
     /// `X-Camal-Deadline-Ms` header. This is the anti-wedge bound: no
-    /// request ever outlives it, whatever the workers or batcher are
+    /// request ever outlives it, whatever the decode or batcher are
     /// doing.
     pub deadline: Duration,
-    /// Size of the decode/validate worker pool between the reactor and
-    /// the batcher. `0` (the default) sizes it automatically: the
-    /// `NILM_REACTOR_WORKERS` environment variable if set, else one
-    /// worker per available core.
+    /// Has no effect. It sized a decode worker pool that no longer exists:
+    /// the pass loops decode localize requests themselves. Kept only so
+    /// configurations that still set it keep compiling.
     pub reactor_workers: usize,
     /// Per-connection in-flight pipeline bound. A connection with this
     /// many unanswered requests stops being read (backpressure) until
@@ -130,7 +130,6 @@ impl Default for GatewayConfig {
             addr: "127.0.0.1:0".into(),
             queue_capacity: 256,
             max_coalesce: 64,
-            linger: Duration::ZERO,
             batch_windows: 64,
             max_connections: 1024,
             read_timeout: Duration::from_secs(5),
@@ -144,7 +143,8 @@ impl Default for GatewayConfig {
 }
 
 /// What the serving side knows about one registered model, captured at
-/// startup for lock-free request validation in the decode workers.
+/// startup for lock-free request validation in the pass loops' decode
+/// step.
 #[derive(Clone, Debug)]
 pub struct ModelMeta {
     /// Sampling step of the model's dataset template.
@@ -294,7 +294,12 @@ impl Drop for CoreLease<'_> {
     }
 }
 
+/// One localize request on its way through a pass loop. The reactor queues
+/// it with only `body` set; the loop that takes it fills the decoded
+/// fields in [`decode`].
 pub(crate) struct Job {
+    /// The raw request body, taken (and freed) by [`decode`].
+    body: Vec<u8>,
     /// Requested keys, deduplicated, in request order (response order).
     keys: Vec<ModelKey>,
     /// Sorted copy of `keys` — the coalescing identity: jobs wanting the
@@ -303,7 +308,8 @@ pub(crate) struct Job {
     households: Vec<HouseholdSeries>,
     detail: Detail,
     /// The request's `(trace_id, root_span_id)`: pass-loop stage spans
-    /// (queue-wait, coalesce, fleet stages) parent to the root span.
+    /// (queue-wait, decode, coalesce, fleet stages) parent to the root
+    /// span.
     trace: (u64, u64),
     /// When the job entered the queue — the queue-wait stage starts here.
     enqueued: Instant,
@@ -375,14 +381,13 @@ impl Shared {
 pub struct Gateway {
     shared: Arc<Shared>,
     reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     passes: Vec<JoinHandle<()>>,
 }
 
 impl Gateway {
     /// Binds, warms every registered model (lazy checkpoints load now, so
     /// corrupt files fail fast instead of per-request), and spawns the
-    /// reactor, its worker pool, and one pass loop per `rayon` pool slot.
+    /// reactor and one pass loop per `rayon` pool slot.
     /// The registry moves behind the pass loops' shared lock — only they
     /// touch models afterwards.
     ///
@@ -444,10 +449,10 @@ impl Gateway {
                     .expect("spawn pass loop thread")
             })
             .collect();
-        let handles = crate::reactor::spawn(shared.clone(), listener)?;
+        let reactor = crate::reactor::spawn(shared.clone(), listener)?;
         // Models are warm (loaded above) and every serving thread is up.
         shared.ready.store(true, Ordering::SeqCst);
-        Ok(Gateway { shared, reactor: Some(handles.reactor), workers: handles.workers, passes })
+        Ok(Gateway { shared, reactor: Some(reactor), passes })
     }
 
     /// The bound socket address (resolves port 0).
@@ -457,8 +462,7 @@ impl Gateway {
 
     /// Requests shutdown and joins every server thread: the reactor first
     /// (it closes the listener, drains live connections bounded by their
-    /// deadlines, then exits), then the worker pool (its channel closed
-    /// when the reactor dropped it), then the pass loops (drain the queue).
+    /// deadlines, then exits), then the pass loops (drain the queue).
     pub fn shutdown(mut self) {
         self.shared.request_shutdown();
         self.join_all();
@@ -472,15 +476,14 @@ impl Gateway {
     }
 
     fn join_all(&mut self) {
-        // Ordered teardown: reactor (accept + connections) → workers →
-        // pass loops. The reactor exits only once every connection
-        // drained, dropping the work channel; the idle workers then see it
-        // closed and exit, after which the last pass loop can conclude the
-        // queue is conclusively empty and close it.
+        // Ordered teardown: reactor (accept + connections) → pass loops.
+        // The reactor exits only once every connection drained, so nothing
+        // pushes to the queue afterwards; the last pass loop to find it
+        // empty closes it.
         if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
-        for h in self.workers.drain(..).chain(self.passes.drain(..)) {
+        for h in self.passes.drain(..) {
             let _ = h.join();
         }
     }
@@ -514,8 +517,9 @@ fn query_param<'q>(query: &'q str, key: &str) -> Option<&'q str> {
 }
 
 /// Dispatches one request: computes the reply (or enqueues a pass-loop job
-/// that will) and answers through `reply`. Runs on a worker thread.
-pub(crate) fn route(request: &Request, shared: &Arc<Shared>, reply: ReplyHandle) {
+/// that will) and answers through `reply`. Runs on the reactor thread, so
+/// every arm must stay cheap: a localize request is queued undecoded.
+pub(crate) fn route(request: Request, shared: &Arc<Shared>, reply: ReplyHandle) {
     let (path, query) = match request.path.split_once('?') {
         Some((p, q)) => (p, q),
         None => (request.path.as_str(), ""),
@@ -587,7 +591,7 @@ pub(crate) fn route(request: &Request, shared: &Arc<Shared>, reply: ReplyHandle)
         }
         ("POST", "/v1/localize") => {
             shared.metrics.request("localize");
-            handle_localize(request, shared, reply);
+            queue_localize(request.body, shared, reply);
         }
         ("POST", "/admin/shutdown") => {
             shared.metrics.request("shutdown");
@@ -697,52 +701,20 @@ fn debug_trace_reply(query: &str) -> Reply {
     Reply::new(200, "OK", doc.to_pretty())
 }
 
-/// Validates a localize request against the model snapshot and enqueues it
-/// for the pass loops, which answer through the job's [`ReplyHandle`]. The
-/// reactor armed this request's deadline at dispatch, so nothing here (or
+/// Enqueues a localize request, body undecoded, for the pass loops, which
+/// decode and answer it through the job's [`ReplyHandle`]. The reactor
+/// armed this request's deadline at dispatch, so nothing here (or
 /// downstream) can strand the connection.
-fn handle_localize(request: &Request, shared: &Arc<Shared>, reply: ReplyHandle) {
-    let parsed = match parse_localize(&request.body) {
-        Ok(p) => p,
-        Err(e) => return reply.send(Reply::new(400, "Bad Request", error_body(&e))),
-    };
-    // Validate against the startup snapshot so workers never touch the
-    // registry: every key must be registered, and one pass needs a single
-    // resolution and window across its models.
-    let mut step_s = 0u32;
-    let mut window = 0usize;
-    for key in &parsed.appliances {
-        let Some(meta) = shared.models.get(key) else {
-            return reply.send(Reply::new(
-                404,
-                "Not Found",
-                error_body(&format!("model {key} is not registered")),
-            ));
-        };
-        if step_s == 0 {
-            (step_s, window) = (meta.step_s, meta.window);
-        } else if meta.step_s != step_s || meta.window != window {
-            return reply.send(Reply::new(
-                400,
-                "Bad Request",
-                error_body(&format!(
-                    "model {key} runs at step {} s / window {} and cannot share a pass with \
-                     step {step_s} s / window {window}; request them separately",
-                    meta.step_s, meta.window
-                )),
-            ));
-        }
-    }
+fn queue_localize(body: Vec<u8>, shared: &Arc<Shared>, reply: ReplyHandle) {
     if shared.shutdown.load(Ordering::SeqCst) {
         return reply.send(Reply::unavailable("gateway is shutting down", 1));
     }
-    let mut group = parsed.appliances.clone();
-    group.sort();
     let job = Job {
-        keys: parsed.appliances,
-        group,
-        households: parsed.households,
-        detail: parsed.detail,
+        body,
+        keys: Vec::new(),
+        group: Vec::new(),
+        households: Vec::new(),
+        detail: Detail::Full,
         trace: reply.trace,
         enqueued: Instant::now(),
         enqueued_ns: nilm_obs::trace::now_ns(),
@@ -760,6 +732,98 @@ fn handle_localize(request: &Request, shared: &Arc<Shared>, reply: ReplyHandle) 
         // served, so answer immediately.
         Err((mut job, PushError::Closed)) => {
             job.answer(Reply::unavailable("gateway is shutting down", 1));
+        }
+    }
+}
+
+/// Parses a localize body and validates it against the model snapshot, so
+/// decoding never touches the registry: every key must be registered, and
+/// one pass needs a single resolution and window across its models.
+fn validate_localize(shared: &Shared, body: &[u8]) -> Result<LocalizeRequest, Reply> {
+    let parsed =
+        parse_localize(body).map_err(|e| Reply::new(400, "Bad Request", error_body(&e)))?;
+    let mut step_s = 0u32;
+    let mut window = 0usize;
+    for key in &parsed.appliances {
+        let Some(meta) = shared.models.get(key) else {
+            return Err(Reply::new(
+                404,
+                "Not Found",
+                error_body(&format!("model {key} is not registered")),
+            ));
+        };
+        if step_s == 0 {
+            (step_s, window) = (meta.step_s, meta.window);
+        } else if meta.step_s != step_s || meta.window != window {
+            return Err(Reply::new(
+                400,
+                "Bad Request",
+                error_body(&format!(
+                    "model {key} runs at step {} s / window {} and cannot share a pass with \
+                     step {step_s} s / window {window}; request them separately",
+                    meta.step_s, meta.window
+                )),
+            ));
+        }
+    }
+    Ok(parsed)
+}
+
+/// The decode step of a pass loop, for one job it took: closes the job's
+/// queue-wait stage, decodes and validates its body, and records the
+/// decode stage. A valid request fills the job's decoded fields and
+/// returns `true`; an invalid one is answered `400`/`404` here and
+/// returns `false`.
+fn decode(shared: &Shared, job: &mut Job) -> bool {
+    let start = Instant::now();
+    let start_ns = nilm_obs::trace::now_ns();
+    let traced = nilm_obs::trace::enabled() && job.trace.1 != 0;
+    shared.metrics.stage_ms("queue_wait", start.duration_since(job.enqueued).as_secs_f64() * 1e3);
+    if traced {
+        nilm_obs::trace::record_span(
+            nilm_obs::trace::TraceId(job.trace.0),
+            job.trace.1,
+            "queue_wait",
+            String::new(),
+            job.enqueued_ns,
+            start_ns.saturating_sub(job.enqueued_ns).max(1),
+        );
+    }
+    // A wedged decode: sleeps past the request's deadline, proving the
+    // reactor-side timer answers even when decode itself is stuck. The
+    // draw is keyed by the request, `(conn_id, seq)`, so the same requests
+    // wedge whichever pass loop takes them.
+    if let Some(reply) = &job.reply {
+        if nilm_fault::fires_at("worker.wedge", reply.fault_site()) {
+            std::thread::sleep(reply.deadline.saturating_mul(2));
+        }
+    }
+    let body = std::mem::take(&mut job.body);
+    let outcome = validate_localize(shared, &body);
+    let decode_ms = start.elapsed().as_secs_f64() * 1e3;
+    shared.metrics.stage_ms("decode", decode_ms);
+    if traced {
+        nilm_obs::trace::record_span(
+            nilm_obs::trace::TraceId(job.trace.0),
+            job.trace.1,
+            "decode",
+            format!("bytes={}", body.len()),
+            start_ns,
+            ((decode_ms * 1e6) as u64).max(1),
+        );
+    }
+    match outcome {
+        Ok(parsed) => {
+            job.group = parsed.appliances.clone();
+            job.group.sort();
+            job.keys = parsed.appliances;
+            job.households = parsed.households;
+            job.detail = parsed.detail;
+            true
+        }
+        Err(reply) => {
+            job.answer(reply);
+            false
         }
     }
 }
@@ -813,9 +877,9 @@ fn supervise_passes(shared: &Arc<Shared>) {
 }
 
 /// One micro-batching pass loop: pops a job, drains the backlog behind
-/// it, and serves each key set as one fleet pass. Every job it takes sits
-/// in `in_flight` until answered. Returns on shutdown once the queue is
-/// empty.
+/// it, decodes each job, and serves each key set as one fleet pass. Every
+/// job it takes sits in `in_flight`, from before its decode until it is
+/// answered. Returns on shutdown once the queue is empty.
 fn pass_loop(shared: &Arc<Shared>, in_flight: &mut Vec<Job>) {
     loop {
         let Some(first) = shared.queue.pop_wait(Duration::from_millis(50)) else {
@@ -824,14 +888,15 @@ fn pass_loop(shared: &Arc<Shared>, in_flight: &mut Vec<Job>) {
             }
             continue;
         };
-        if !shared.cfg.linger.is_zero() {
-            std::thread::sleep(shared.cfg.linger);
-        }
         in_flight.push(first);
         in_flight.extend(shared.queue.drain(shared.cfg.max_coalesce.saturating_sub(1)));
         // Deliberately after the drain: the injected panic hits with jobs
         // in flight, which is exactly the case supervision must recover.
         nilm_fault::maybe_panic("batcher.panic");
+        // Decode in place: a job answered 400/404 leaves `in_flight`, and
+        // one not yet decoded when a panic unwinds stays there, so the
+        // supervisor answers it 503 like the rest.
+        in_flight.retain_mut(|job| decode(shared, job));
 
         // Group by requested key set; each group becomes one fleet pass,
         // in key-set order. The sort is stable, so a group's jobs keep
@@ -856,28 +921,10 @@ fn serve_group(shared: &Arc<Shared>, jobs: &mut [Job]) {
         threads: available_threads(),
         apply_priors: shared.cfg.apply_priors,
     };
-    // Every job's queue-wait stage ends here, where the pass loop takes
-    // ownership of the group; the coalesce stage (merging households into
-    // one pass) starts.
+    // The coalesce stage (merging households into one pass) starts here.
     let coalesce_start = Instant::now();
     let coalesce_start_ns = nilm_obs::trace::now_ns();
     let tracing = nilm_obs::trace::enabled();
-    for job in jobs.iter() {
-        shared.metrics.stage_ms(
-            "queue_wait",
-            coalesce_start.duration_since(job.enqueued).as_secs_f64() * 1e3,
-        );
-        if tracing && job.trace.1 != 0 {
-            nilm_obs::trace::record_span(
-                nilm_obs::trace::TraceId(job.trace.0),
-                job.trace.1,
-                "queue_wait",
-                String::new(),
-                job.enqueued_ns,
-                coalesce_start_ns.saturating_sub(job.enqueued_ns).max(1),
-            );
-        }
-    }
     let mut merged: Vec<HouseholdSeries> = Vec::new();
     let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(jobs.len());
     for job in jobs.iter_mut() {
@@ -929,13 +976,18 @@ fn serve_group(shared: &Arc<Shared>, jobs: &mut [Job]) {
     } else {
         Vec::new()
     };
-    let _ctx = nilm_obs::trace::set_context(&ctx);
-    match resolved {
-        Ok(fleet) => {
-            let result = {
-                let _cores = shared.cores.lease(fleet.shards(&merged, &cfg));
-                run_fleet(&fleet, &merged, &cfg)
-            };
+    // The context ends with the pass, flushing the spans it buffered, before
+    // any reply goes out: a client holding its response finds every stage
+    // span of its trace in the ring.
+    let outcome = {
+        let _ctx = nilm_obs::trace::set_context(&ctx);
+        resolved.map(|fleet| {
+            let _cores = shared.cores.lease(fleet.shards(&merged, &cfg));
+            run_fleet(&fleet, &merged, &cfg)
+        })
+    };
+    match outcome {
+        Ok(result) => {
             shared.metrics.batch(
                 jobs.len(),
                 result.summary.batches,

@@ -11,15 +11,16 @@
 //!   TCP clients ══ epoll ══▶ reactor thread (owns every connection)
 //!                               │ incremental parse / in-order write
 //!                               │ state machines, backpressure,
-//!                               │ per-request deadlines, fairness
+//!                               │ per-request deadlines, fairness,
+//!                               │ control routes answered inline
 //!                               ▼
-//!                          worker pool (decode + validate)
-//!                               │
 //!                          bounded job queue ──(full)→ 503
-//!                               │
+//!                               │ localize requests, body undecoded
+//!                               ▼
 //!                          pass loops, one per rayon pool slot
-//!                               │ each: pop + drain queue, group by
-//!                               │ key set, merge households
+//!                               │ each: pop + drain queue, decode +
+//!                               │ validate (400/404 answered here),
+//!                               │ group by key set, merge households
 //!                               ▼
 //!                  camal::fleet::resolve_fleet (shared ModelRegistry,
 //!                               │ locked for the resolve only)
@@ -39,7 +40,7 @@
 //!   level/edge-triggered readiness polling and cross-thread wakeups.
 //! - [`protocol`] — the `POST /v1/localize` JSON request/response schemas
 //!   over [`nilm_json`].
-//! - [`queue`] — the bounded job queue between the workers and the
+//! - [`queue`] — the bounded job queue between the reactor and the
 //!   pass loops (load shedding with 503 when full).
 //! - [`metrics`] — request counters, micro-batch size histogram, pass
 //!   overlap, reactor counters (`epoll_wakeups`, `partial_writes`, backlog

@@ -7,9 +7,9 @@
 //! Latencies live in [`nilm_obs::hist::Histogram`]s — log-linear HDR-style
 //! histograms with bounded memory and a ~0.4% quantile error — keyed by
 //! route, plus one histogram per pipeline stage (`parse`, `queue_wait`,
-//! `coalesce`, `preprocess`, `infer`, `stitch`, `write`), so the full
-//! latency distribution survives indefinitely instead of a lossy last-N
-//! window.
+//! `decode`, `coalesce`, `preprocess`, `infer`, `stitch`, `write`), so the
+//! full latency distribution survives indefinitely instead of a lossy
+//! last-N window.
 //!
 //! Recovery is observable, not just tested: the document carries pass-loop
 //! restarts (`batcher_restarts`), per-request deadline timeouts, fleet
@@ -53,7 +53,7 @@ struct Inner {
     /// End-to-end latency distribution per route (dispatch → reply).
     latency: BTreeMap<&'static str, Histogram>,
     /// Per-pipeline-stage duration distributions (`parse`, `queue_wait`,
-    /// `coalesce`, `preprocess`, `infer`, `stitch`, `write`).
+    /// `decode`, `coalesce`, `preprocess`, `infer`, `stitch`, `write`).
     stages: BTreeMap<&'static str, Histogram>,
     /// Fleet passes running now, and passes that started while another
     /// was running (the pass loops' overlap).
@@ -361,8 +361,8 @@ impl Metrics {
         w.family(
             "nilm_stage_duration_seconds",
             "histogram",
-            "Per-pipeline-stage duration (parse, queue_wait, coalesce, preprocess, infer, \
-             stitch, write).",
+            "Per-pipeline-stage duration (parse, queue_wait, decode, coalesce, preprocess, \
+             infer, stitch, write).",
         );
         for (stage, h) in &m.stages {
             w.histogram("nilm_stage_duration_seconds", &[("stage", stage)], h);

@@ -1,13 +1,13 @@
-//! The bounded job queue between the gateway's decode workers and its pass
-//! loops.
+//! The bounded job queue between the gateway's reactor and its pass loops.
 //!
-//! Workers [`push`](JobQueue::push) accepted localize jobs; each pass loop
-//! [`pop_wait`](JobQueue::pop_wait)s for the first job of a pass and then
-//! [`drain`](JobQueue::drain)s whatever else queued up meanwhile — that
-//! backlog is exactly what gets coalesced into one shared fleet pass. Many
-//! producers and many consumers share the queue; each job goes to exactly
-//! one consumer. A full queue rejects the push (the worker answers `503`),
-//! which bounds both memory and tail latency under overload.
+//! The reactor [`push`](JobQueue::push)es each parsed localize request,
+//! body undecoded; each pass loop [`pop_wait`](JobQueue::pop_wait)s for
+//! the first job of a pass and then [`drain`](JobQueue::drain)s whatever
+//! else queued up meanwhile — that backlog is what the loop decodes and
+//! coalesces into shared fleet passes. The queue is multi-producer and
+//! multi-consumer; each job goes to exactly one consumer. A full queue
+//! rejects the push (the reactor answers `503`), which bounds both memory
+//! and tail latency under overload.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};

@@ -1,50 +1,57 @@
 //! The gateway's epoll reactor: one event-loop thread multiplexing every
-//! connection, plus a worker pool that decodes requests off the loop.
+//! connection. It parses requests, answers the cheap routes inline, and
+//! hands each localize request, undecoded, to the pass loops.
 //!
 //! ```text
-//!            epoll_wait                    mpsc                 JobQueue
-//!  sockets ─────────────▶ reactor thread ──────▶ worker pool ──────────▶ pass loops
-//!            readiness     │  ▲   parse/write     decode+route            fleet passes
-//!                          │  │   state machines  validate
-//!                          │  └──────────────────────┴──────────────────────┘
-//!                          │        completions channel + wake pipe
+//!            epoll_wait                       JobQueue
+//!  sockets ─────────────▶ reactor thread ─────────────────▶ pass loops
+//!            readiness     │  ▲   parse/write     localize    decode+validate
+//!                          │  │   state machines  (raw body)  fleet passes
+//!                          │  │   control routes
+//!                          │  │   answered inline
+//!                          │  └──────────────────────────────────┘
+//!                          │     completions channel + wake pipe
 //!                          ▼
 //!                     responses, in request order per connection
 //! ```
 //!
-//! The reactor thread owns the listener, the [`Poller`], and every
-//! [`Conn`]. Each wake it: accepts new sockets (shedding over
-//! `max_connections` with a canned 503), pumps readable connections
-//! through the incremental parser and dispatches complete requests to the
-//! workers, drains the completions channel back into connection outboxes,
-//! expires per-request deadlines, reaps idle connections (slow-loris gets
-//! a 408; a never-wrote-anything connection is closed silently), and
-//! flushes outboxes — parking on `EWOULDBLOCK` with write-interest
-//! re-registration. Connections are visited in rotating order with a
-//! per-wake read cap, so one flooding client cannot monopolize a wake.
+//! A request crosses two hand-offs: reactor → pass loop (the `JobQueue`)
+//! and pass loop → reactor (the completions channel). The reactor thread
+//! owns the listener, the [`Poller`], and every [`Conn`]. Each wake it:
+//! accepts new sockets (shedding over `max_connections` with a canned
+//! 503), pumps readable connections through the incremental parser and
+//! dispatches complete requests, drains the completions channel back into
+//! connection outboxes, expires per-request deadlines, reaps idle
+//! connections (slow-loris gets a 408; a never-wrote-anything connection
+//! is closed silently), and flushes outboxes — parking on `EWOULDBLOCK`
+//! with write-interest re-registration. Connections are visited in
+//! rotating order with a per-wake read cap, so one flooding client cannot
+//! monopolize a wake.
 //!
-//! Workers never block the loop: they JSON-decode, validate against the
-//! model snapshot, and either answer immediately (health, metrics, errors)
-//! or enqueue a batcher job carrying a [`ReplyHandle`]. Replies flow back
-//! through one completions channel; the wake pipe interrupts `epoll_wait`
-//! so a completion is written the moment it exists. Deadlines are armed in
-//! the *reactor* at dispatch time, so a wedged worker or batcher still
-//! turns into a timely `503` — nothing downstream of the loop is trusted
-//! to be alive.
+//! Dispatch never blocks the loop. Health, readiness, metrics, model
+//! listing, traces, shutdown and 404/405 answers are computed inline (they
+//! are cheap, and must not wait behind a wedged pass). A localize request
+//! goes onto the queue with its body still raw: a body may be up to
+//! `HttpLimits::max_body` bytes, and decoding it here would stall every
+//! connection's I/O. The pass loop that takes it decodes, validates and
+//! answers it. Replies flow back through one completions channel; the wake
+//! pipe interrupts `epoll_wait` so a completion is written the moment it
+//! exists. Deadlines are armed in the *reactor* at dispatch time, so a
+//! wedged decode or pass still turns into a timely `503` — nothing
+//! downstream of the loop is trusted to be alive.
 //!
 //! The loop runs under a supervisor: a panic (the `reactor.panic` fault
 //! point injects one) drops the generation's poller and connections —
 //! closing every socket cleanly — and respawns a fresh loop on the same
-//! listener, waker, and channels. In-flight batcher work completes into
+//! listener, waker, and channel. In-flight batcher work completes into
 //! the new generation and is dropped as stale; clients reconnect and
 //! retry. Shutdown is ordered: the listener closes first, live
 //! connections drain (bounded by their deadlines), then the loop exits,
-//! the work channel drops (workers exit), and the last pass loop closes
-//! the queue.
+//! and the last pass loop closes the queue.
 
 use crate::conn::{Conn, WriteProgress};
-use crate::gateway::{route, Reply, Shared};
-use crate::http::{encode_response_with, Request};
+use crate::gateway::{Reply, Shared};
+use crate::http::encode_response_with;
 use crate::protocol::error_body;
 use crate::sys::{Interest, Poller};
 use nilm_obs::trace::TraceId;
@@ -92,7 +99,7 @@ impl CompletionSender {
     }
 }
 
-/// The per-request reply channel handed to workers and batcher jobs.
+/// The per-request reply channel handed to routes and batcher jobs.
 ///
 /// Exactly one reply reaches the reactor per handle: either an explicit
 /// [`ReplyHandle::send`], or — if the handle is dropped unanswered, which
@@ -106,12 +113,23 @@ pub(crate) struct ReplyHandle {
     seq: u64,
     /// The request's `(trace_id, root_span_id)`, minted at parse time.
     /// Rides the handle so batcher jobs can parent their stage spans
-    /// (queue-wait, coalesce, fleet stages) to the request's root span.
+    /// (queue-wait, decode, coalesce, fleet stages) to the request's root
+    /// span.
     pub(crate) trace: (u64, u64),
+    /// The request's effective deadline, already armed reactor-side (the
+    /// `worker.wedge` fault sleeps past it to prove the deadline answers).
+    pub(crate) deadline: Duration,
     sent: bool,
 }
 
 impl ReplyHandle {
+    /// A fault-injection site unique to this request, `(conn_id, seq)`
+    /// folded into one `u64`: a draw keyed by it hits the same requests
+    /// whichever pass loop evaluates it.
+    pub(crate) fn fault_site(&self) -> u64 {
+        self.conn_id.rotate_left(32) ^ self.seq
+    }
+
     /// Answers the request.
     pub fn send(mut self, reply: Reply) {
         self.sent = true;
@@ -131,72 +149,15 @@ impl Drop for ReplyHandle {
     }
 }
 
-/// One decoded-request unit for the worker pool.
-struct Work {
-    conn_id: u64,
-    seq: u64,
-    request: Request,
-    /// `(trace_id, root_span_id)` minted at parse time.
-    trace: (u64, u64),
-    /// The request's effective deadline (already armed reactor-side; the
-    /// `worker.wedge` fault sleeps past it to prove the deadline answers).
-    deadline: Duration,
-}
-
-/// Join handles of the serving threads [`spawn`] started.
-pub(crate) struct ReactorHandles {
-    /// The supervised event-loop thread.
-    pub reactor: JoinHandle<()>,
-    /// The decode/validate worker pool.
-    pub workers: Vec<JoinHandle<()>>,
-}
-
-/// How many workers to run: the config knob, else `NILM_REACTOR_WORKERS`,
-/// else one per available core.
-fn worker_count(shared: &Shared) -> usize {
-    if shared.cfg.reactor_workers > 0 {
-        return shared.cfg.reactor_workers;
-    }
-    if let Ok(v) = std::env::var("NILM_REACTOR_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Spawns the reactor thread and its worker pool on `listener`.
-pub(crate) fn spawn(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<ReactorHandles> {
+/// Spawns the supervised reactor thread on `listener`.
+pub(crate) fn spawn(shared: Arc<Shared>, listener: TcpListener) -> std::io::Result<JoinHandle<()>> {
     listener.set_nonblocking(true)?;
     let (completion_tx, completion_rx) = mpsc::channel::<Completion>();
-    let (work_tx, work_rx) = mpsc::channel::<Work>();
-    let work_rx = Arc::new(Mutex::new(work_rx));
     let completions = CompletionSender { tx: completion_tx, wake: shared.waker.handle() };
-
-    let mut workers = Vec::new();
-    for i in 0..worker_count(&shared) {
-        let shared = shared.clone();
-        let work_rx = work_rx.clone();
-        let completions = completions.clone();
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("gateway-worker-{i}"))
-                .spawn(move || worker_loop(&shared, &work_rx, &completions))
-                .expect("spawn gateway worker"),
-        );
-    }
-    let reactor = {
-        let shared = shared.clone();
-        std::thread::Builder::new()
-            .name("gateway-reactor".into())
-            .spawn(move || {
-                supervise_reactor(&shared, listener, &completion_rx, work_tx, &completions)
-            })
-            .expect("spawn gateway reactor")
-    };
-    Ok(ReactorHandles { reactor, workers })
+    Ok(std::thread::Builder::new()
+        .name("gateway-reactor".into())
+        .spawn(move || supervise_reactor(&shared, listener, &completion_rx, &completions))
+        .expect("spawn gateway reactor"))
 }
 
 /// Runs the event loop under a panic supervisor. A clean return is
@@ -207,21 +168,13 @@ fn supervise_reactor(
     shared: &Arc<Shared>,
     listener: TcpListener,
     completion_rx: &mpsc::Receiver<Completion>,
-    work_tx: mpsc::Sender<Work>,
     completions: &CompletionSender,
 ) {
     let mut listener = Some(listener);
     let mut next_conn_id: u64 = 0;
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_reactor(
-                shared,
-                &mut listener,
-                completion_rx,
-                &work_tx,
-                completions,
-                &mut next_conn_id,
-            )
+            run_reactor(shared, &mut listener, completion_rx, completions, &mut next_conn_id)
         }));
         match outcome {
             Ok(()) => return,
@@ -236,7 +189,6 @@ fn supervise_reactor(
             }
         }
     }
-    // `work_tx` drops on return → workers' recv errors → pool exits.
 }
 
 /// One reactor generation: owns the poller and the connection table for
@@ -245,7 +197,6 @@ fn run_reactor(
     shared: &Arc<Shared>,
     listener: &mut Option<TcpListener>,
     completion_rx: &mpsc::Receiver<Completion>,
-    work_tx: &mpsc::Sender<Work>,
     completions: &CompletionSender,
     next_conn_id: &mut u64,
 ) {
@@ -335,13 +286,13 @@ fn run_reactor(
         // a few flag reads.)
         let ids: Vec<u64> = conns.keys().copied().collect();
         for id in ids {
-            let keep = pump_conn(shared, &mut conns, id, work_tx, completions, &mut deadlines, now);
+            let keep = pump_conn(shared, &mut conns, id, completions, &mut deadlines, now);
             if !keep {
                 drop_conn(&poller, &mut conns, &mut interests, id);
             }
         }
 
-        // Route completions (batcher replies, worker answers) into their
+        // Route completions (batcher replies, inline answers) into their
         // pipeline slots and flush what became ready.
         while let Ok(done) = completion_rx.try_recv() {
             let Some(conn) = conns.get_mut(&done.conn_id) else { continue };
@@ -360,15 +311,8 @@ fn run_reactor(
                 shared.metrics.response(done.reply.status);
                 shared.metrics.latency_ms(route, dispatched.elapsed().as_secs_f64() * 1e3);
             }
-            let keep = pump_conn(
-                shared,
-                &mut conns,
-                done.conn_id,
-                work_tx,
-                completions,
-                &mut deadlines,
-                now,
-            );
+            let keep =
+                pump_conn(shared, &mut conns, done.conn_id, completions, &mut deadlines, now);
             if !keep {
                 drop_conn(&poller, &mut conns, &mut interests, done.conn_id);
             }
@@ -406,8 +350,7 @@ fn run_reactor(
                 shared.metrics.response(reply.status);
                 shared.metrics.latency_ms(route, dispatched.elapsed().as_secs_f64() * 1e3);
             }
-            let keep =
-                pump_conn(shared, &mut conns, conn_id, work_tx, completions, &mut deadlines, now);
+            let keep = pump_conn(shared, &mut conns, conn_id, completions, &mut deadlines, now);
             if !keep {
                 drop_conn(&poller, &mut conns, &mut interests, conn_id);
             }
@@ -533,13 +476,12 @@ fn accept_ready(
 }
 
 /// Parses buffered input into requests (up to the pipeline bound),
-/// dispatches them to the workers, arms their deadlines, promotes ready
+/// arms their deadlines, dispatches them through `gateway::route`, promotes ready
 /// responses, and flushes. Returns `false` when the connection must close.
 fn pump_conn(
     shared: &Arc<Shared>,
     conns: &mut HashMap<u64, Conn>,
     id: u64,
-    work_tx: &mpsc::Sender<Work>,
     completions: &CompletionSender,
     deadlines: &mut BinaryHeap<Reverse<(Instant, u64, u64, u64)>>,
     now: Instant,
@@ -590,18 +532,15 @@ fn pump_conn(
                 );
                 shared.metrics.conn_backlog(conn.pipeline.len());
                 deadlines.push(Reverse((now + deadline, id, seq, deadline.as_millis() as u64)));
-                let trace = (trace_id.0, root_span);
-                if work_tx.send(Work { conn_id: id, seq, request, trace, deadline }).is_err() {
-                    // Worker pool is gone (shutdown race): answer directly.
-                    let handle = ReplyHandle {
-                        sender: completions.clone(),
-                        conn_id: id,
-                        seq,
-                        trace,
-                        sent: false,
-                    };
-                    handle.send(Reply::unavailable("gateway is shutting down", 1));
-                }
+                let reply = ReplyHandle {
+                    sender: completions.clone(),
+                    conn_id: id,
+                    seq,
+                    trace: (trace_id.0, root_span),
+                    deadline,
+                    sent: false,
+                };
+                crate::gateway::route(request, shared, reply);
             }
             Ok(None) => break,
             Err(e) => {
@@ -779,36 +718,4 @@ fn encode_reply(reply: &Reply, keep_alive: bool, trace: u64) -> Vec<u8> {
         keep_alive,
         &extra,
     )
-}
-
-/// One decode/validate worker: pulls requests off the shared channel and
-/// routes them. Localize requests end up on the batcher queue; everything
-/// else is answered inline through the completions channel.
-fn worker_loop(
-    shared: &Arc<Shared>,
-    work_rx: &Mutex<mpsc::Receiver<Work>>,
-    completions: &CompletionSender,
-) {
-    loop {
-        let work = {
-            let rx = work_rx.lock().expect("work channel lock");
-            rx.recv()
-        };
-        let Ok(work) = work else { return };
-        // A wedged worker: sleeps past the request's deadline, proving the
-        // reactor-side timer answers even when decode itself is stuck. The
-        // draw is keyed by the request, `(conn_id, seq)`, so the same
-        // requests wedge whichever worker takes them.
-        if nilm_fault::fires_at("worker.wedge", work.conn_id.rotate_left(32) ^ work.seq) {
-            std::thread::sleep(work.deadline.saturating_mul(2));
-        }
-        let handle = ReplyHandle {
-            sender: completions.clone(),
-            conn_id: work.conn_id,
-            seq: work.seq,
-            trace: work.trace,
-            sent: false,
-        };
-        route(&work.request, shared, handle);
-    }
 }

@@ -130,12 +130,19 @@ fn post_localize(addr: &str, body: &str) -> Response {
     read_response(&mut reader).expect("response")
 }
 
-fn metrics_doc(addr: &str) -> JsonValue {
+/// One blocking `GET path` round-trip on a fresh connection.
+fn get(addr: &str, path: &str) -> Response {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    (&stream).write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n").expect("send");
+    (&stream)
+        .write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
+        .expect("send");
     let mut reader = BufReader::new(&stream);
-    let response = read_response(&mut reader).expect("response");
+    read_response(&mut reader).expect("response")
+}
+
+fn metrics_doc(addr: &str) -> JsonValue {
+    let response = get(addr, "/metrics");
     assert_eq!(response.status, 200);
     nilm_json::parse(response.body_str().expect("UTF-8")).expect("metrics JSON")
 }
@@ -296,6 +303,65 @@ fn a_wedged_pass_stalls_another_connection_only_at_width_one() {
 
     nilm_fault::disarm_all();
     // Shutdown joins the wedged loop once its 2 s nap ends.
+    gateway.shutdown();
+}
+
+#[test]
+fn control_routes_answer_while_every_pass_loop_is_wedged() {
+    // The control routes run inline on the reactor, never on the job
+    // queue: with every pass loop asleep in a wedged pass, `/healthz`,
+    // `/readyz` and `/metrics` must still answer at once.
+    let _g = faults();
+    let mut registry = ModelRegistry::unbounded();
+    registry.insert(kettle(), random_model(&[5], 3));
+    let deadline = Duration::from_secs(2);
+    let cfg = GatewayConfig { deadline, ..test_config() };
+    let gateway = Gateway::start(registry, cfg).expect("gateway starts");
+    let addr = gateway.addr().to_string();
+    let body = localize_request(&[kettle()], &[toy_household(2, 5)], Detail::Summary).to_compact();
+
+    let loops = camal::fleet::available_threads();
+    nilm_fault::arm_limited("gateway.slow_pass", 1.0, 9, Some(loops as u64));
+    let fired = || {
+        nilm_fault::stats()
+            .into_iter()
+            .find(|(point, _)| point == "gateway.slow_pass")
+            .map_or(0, |(_, s)| s.fired)
+    };
+    // One request at a time, each on its own connection, sent once the
+    // previous one's pass took the fault: a wedged loop cannot take the
+    // next request, so every loop wedges once.
+    let sent = Instant::now();
+    let clients: Vec<_> = (0..loops as u64)
+        .map(|i| {
+            let (addr, body) = (addr.clone(), body.clone());
+            let client = std::thread::spawn(move || post_localize(&addr, &body));
+            while fired() <= i {
+                assert!(sent.elapsed() < deadline, "pass loop {i} never took the fault");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            client
+        })
+        .collect();
+
+    for path in ["/healthz", "/readyz", "/metrics"] {
+        let start = Instant::now();
+        let response = get(&addr, path);
+        let took = start.elapsed();
+        assert_eq!(response.status, 200, "{path}: {:?}", response.body_str());
+        assert!(took < deadline / 10, "{path} took {took:?} with every pass loop wedged");
+    }
+    // Every loop naps 2x the deadline from when it fired, so all of them
+    // were still wedged while the control routes answered.
+    assert!(sent.elapsed() < deadline * 2, "the checks outlasted the wedge");
+    for client in clients {
+        let response = client.join().expect("localize client");
+        assert_503_with_retry_after(&response);
+        assert!(response.body_str().unwrap().contains("deadline"), "{:?}", response.body_str());
+    }
+
+    nilm_fault::disarm_all();
+    // Shutdown joins every loop once its injected nap ends.
     gateway.shutdown();
 }
 
@@ -494,8 +560,8 @@ fn wedged_worker_is_answered_by_the_reactor_deadline() {
     let _g = faults();
     let mut registry = ModelRegistry::unbounded();
     registry.insert(kettle(), random_model(&[5], 53));
-    // The wedged worker naps 2x this deadline with the request checked out;
-    // the reactor's deadline heap must answer the client anyway.
+    // The wedged decode naps 2x this deadline with the request checked
+    // out; the reactor's deadline heap must answer the client anyway.
     let cfg = GatewayConfig { deadline: Duration::from_millis(250), ..test_config() };
     let gateway = Gateway::start(registry, cfg).expect("gateway starts");
     let addr = gateway.addr().to_string();
@@ -514,7 +580,7 @@ fn wedged_worker_is_answered_by_the_reactor_deadline() {
         "deadline reply took {elapsed:?}, want ~250ms"
     );
 
-    // Once the wedged worker wakes back up, the pool serves normally. (The
+    // Once the wedged pass loop wakes back up, it serves normally. (The
     // draw is per request, so the point is disarmed rather than limited.)
     nilm_fault::disarm("worker.wedge");
     std::thread::sleep(Duration::from_millis(700));
@@ -537,13 +603,16 @@ fn a_partial_wedge_hits_the_same_requests_whichever_worker_takes_them() {
         "POST /v1/localize HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     );
-    // Two decode workers and two keep-alive clients sending at once, so
-    // which worker evaluates which request's draw is up to the scheduler.
-    // Returns, per client, which of its requests were wedged.
+    // Two keep-alive clients take turns, one request in flight
+    // gateway-wide: a wedged decode holds every request its loop drained
+    // with it, so two requests in flight at once could make a request
+    // that drew no wedge miss its deadline too. Which pass loop evaluates
+    // each request's draw is still up to the scheduler. Returns, per
+    // client, which of its requests were wedged.
     let run = || -> Vec<Vec<bool>> {
         let mut registry = ModelRegistry::unbounded();
         registry.insert(kettle(), random_model(&[5], 59));
-        let cfg = GatewayConfig { deadline, reactor_workers: 2, ..test_config() };
+        let cfg = GatewayConfig { deadline, ..test_config() };
         let gateway = Gateway::start(registry, cfg).expect("gateway starts");
         let addr = gateway.addr().to_string();
         nilm_fault::arm("worker.wedge", 0.35, 71);
@@ -551,16 +620,18 @@ fn a_partial_wedge_hits_the_same_requests_whichever_worker_takes_them() {
         // order on every run.
         let clients: Vec<TcpStream> =
             (0..2).map(|_| TcpStream::connect(&addr).expect("connect")).collect();
+        let turn = Mutex::new(());
         let wedged = std::thread::scope(|s| {
             let handles: Vec<_> = clients
                 .iter()
                 .map(|stream| {
-                    let request = &request;
+                    let (request, turn) = (&request, &turn);
                     s.spawn(move || {
                         stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
                         let mut reader = BufReader::new(stream);
                         (0..REQUESTS)
                             .map(|_| {
+                                let _turn = turn.lock().unwrap_or_else(PoisonError::into_inner);
                                 (&*stream).write_all(request.as_bytes()).expect("send");
                                 let response = read_response(&mut reader).expect("response");
                                 let wedged = response.status == 503;
@@ -568,8 +639,8 @@ fn a_partial_wedge_hits_the_same_requests_whichever_worker_takes_them() {
                                     assert_503_with_retry_after(&response);
                                     let text = response.body_str().unwrap();
                                     assert!(text.contains("deadline"), "{text:?}");
-                                    // Let the wedged worker wake before the next
-                                    // request, so a free worker always exists and
+                                    // Let the wedged loop wake before the next
+                                    // request, so a free loop always exists and
                                     // only wedged requests miss their deadline.
                                     std::thread::sleep(deadline * 2 + deadline / 2);
                                 } else {

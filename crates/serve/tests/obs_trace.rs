@@ -1,6 +1,6 @@
 //! End-to-end observability acceptance: one traced localize request must
 //! yield, via `GET /debug/trace`, a single connected trace covering the
-//! whole socket-to-kernel pipeline — parse → queue_wait → coalesce →
+//! whole socket-to-kernel pipeline — parse → queue_wait → decode → coalesce →
 //! preprocess → infer (with kernel child spans naming op/shape/backend) →
 //! stitch → write — every span parenting back to the root `request` span
 //! and every duration fitting inside the client-observed wall time. With
@@ -229,7 +229,9 @@ fn traced_localize_yields_a_connected_socket_to_kernel_trace() {
 
     // Every stage of the pipeline is present exactly once and parents to
     // the root request span.
-    for name in ["parse", "queue_wait", "coalesce", "preprocess", "infer", "stitch", "write"] {
+    for name in
+        ["parse", "queue_wait", "decode", "coalesce", "preprocess", "infer", "stitch", "write"]
+    {
         let stage = find(&spans, name);
         assert_eq!(stage.parent, root.span, "{name} must parent to the request span");
     }
@@ -258,10 +260,11 @@ fn traced_localize_yields_a_connected_socket_to_kernel_trace() {
     // interval, stages are sequential inside it, and everything fits the
     // client-observed wall time.
     assert!(root.dur_us <= wall_us, "request span {:.0}us > wall {:.0}us", root.dur_us, wall_us);
-    let stage_sum: f64 = ["queue_wait", "coalesce", "preprocess", "infer", "stitch", "write"]
-        .iter()
-        .map(|n| find(&spans, n).dur_us)
-        .sum();
+    let stage_sum: f64 =
+        ["queue_wait", "decode", "coalesce", "preprocess", "infer", "stitch", "write"]
+            .iter()
+            .map(|n| find(&spans, n).dur_us)
+            .sum();
     assert!(
         stage_sum <= wall_us,
         "stage durations sum to {stage_sum:.0}us, beyond the {wall_us:.0}us wall time"
@@ -270,6 +273,15 @@ fn traced_localize_yields_a_connected_socket_to_kernel_trace() {
     let queue_wait = find(&spans, "queue_wait");
     let write = find(&spans, "write");
     assert!(parse.start_us <= queue_wait.start_us, "queue_wait cannot start before parse");
+    // The pass loop decodes the request where its queue wait ends, and
+    // coalesces it after. (1 ns of slack for the float microseconds.)
+    let decode = find(&spans, "decode");
+    let coalesce = find(&spans, "coalesce");
+    assert!(
+        queue_wait.start_us + queue_wait.dur_us <= decode.start_us + 1e-3,
+        "decode starts before queue_wait ends: {queue_wait:?} {decode:?}"
+    );
+    assert!(decode.start_us <= coalesce.start_us, "coalesce starts before decode: {decode:?}");
     assert!(infer.start_us <= write.start_us, "write cannot start before infer");
 
     // /debug/trace error paths: missing and malformed IDs are 400, an
