@@ -42,7 +42,8 @@ if [ "$MODE" != "quick" ]; then
     # backend, plus once with SIMD disabled to pin the portable microkernel.
     # Backend selection has one precedence: a per-layer override
     # (`Conv1d::set_backend`), then the forced backend (`NILM_BACKEND` or
-    # `dispatch::set_forced_backend`), then the autotuner. Together with the
+    # `dispatch::set_forced_backend`), then a fixed shape rule (naive for a
+    # shallow or tiny lowered GEMM, simd otherwise). Together with the
     # unforced run above this oracle-checks every path that selector can
     # pick in production, exactly. The SIMD-off leg runs what a host without
     # exact SIMD kernels runs, and what the removed `gemm` backend selected:
@@ -110,13 +111,16 @@ if [ "$MODE" != "quick" ]; then
     # at the default width) on one core and oversubscribed at four:
     # Algorithm 1 runs one candidate per worker on serial kernels, or one
     # worker whose kernels fan out, and neither split may change a bit.
-    for T in 1 4; do
-        step "smoke zoo digest gate RAYON_NUM_THREADS=$T"
-        ZOO_T="target/ci-zoo-threads-$T"
+    # The SIMD-off leg trains the way a host without exact SIMD kernels
+    # does: every simd-backend conv (the unforced trunk) on the portable
+    # microkernel.
+    for LEG in RAYON_NUM_THREADS=1 RAYON_NUM_THREADS=4 NILM_SIMD=off; do
+        step "smoke zoo digest gate $LEG"
+        ZOO_T="target/ci-zoo-${LEG//=/-}"
         rm -rf "$ZOO_T" && mkdir -p "$ZOO_T"
-        RAYON_NUM_THREADS=$T ./target/release/camal_gateway train --smoke --zoo "$ZOO_T/zoo" --out "$ZOO_T"
+        env "$LEG" ./target/release/camal_gateway train --smoke --zoo "$ZOO_T/zoo" --out "$ZOO_T"
         diff <(cd "$ZOO_T/zoo" && sha256sum *.ckpt) crates/eval/tests/fixtures/zoo_smoke.sha256 \
-            || { echo "RAYON_NUM_THREADS=$T smoke zoo differs from zoo_smoke.sha256"; exit 1; }
+            || { echo "$LEG smoke zoo differs from zoo_smoke.sha256"; exit 1; }
     done
 
     step "camal_gateway smoke: ephemeral-port serve -> curl round-trip -> graceful shutdown"

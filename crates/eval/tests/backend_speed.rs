@@ -10,8 +10,10 @@
 //! not held to 3×: on a 2-vCPU host its ratio ranged from 2.2× to 5.1×
 //! between processes.)
 //!
-//! Each figure is the median of several reps per backend, forced
-//! process-wide through [`dispatch::set_forced_backend`]. Timing claims
+//! The backends are forced process-wide through
+//! [`dispatch::set_forced_backend`] and timed in alternation (naive, simd,
+//! naive, simd, ...), so a slow stretch of the host lands on both sides of
+//! a pair; each figure is the median of the per-pair ratios. Timing claims
 //! only mean something optimized, so the file compiles to nothing in debug
 //! builds:
 //!
@@ -32,31 +34,37 @@ use std::time::Instant;
 
 /// Batch size of every measurement (the training batch size).
 const BATCH: usize = 16;
-/// Timed reps per backend; the median is reported.
-const REPS: usize = 5;
+/// Timed (naive, simd) pairs per measurement.
+const PAIRS: usize = 5;
 
-/// Median wall-clock milliseconds of [`REPS`] runs of `f` under `backend`,
-/// after one warm-up run.
-fn median_ms(backend: Backend, mut f: impl FnMut()) -> f64 {
-    dispatch::set_forced_backend(Some(backend));
-    f();
-    let mut samples: Vec<f64> = (0..REPS)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[REPS / 2]
+/// The median of `v`.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
-/// Naive over lowered: how many times faster the lowered backend runs `f`.
+/// Naive over lowered: how many times faster the lowered backend runs `f`,
+/// as the median ratio over [`PAIRS`] back-to-back (naive, simd) pairs,
+/// after one warm-up run under each backend.
 fn speedup(label: &str, mut f: impl FnMut()) -> f64 {
-    let naive = median_ms(Backend::Naive, &mut f);
-    let simd = median_ms(Backend::Simd, &mut f);
-    let ratio = naive / simd;
-    println!("{label:<16} naive {naive:9.2} ms | simd {simd:8.2} ms | {ratio:5.2}x");
+    let mut time_ms = |backend: Backend| {
+        dispatch::set_forced_backend(Some(backend));
+        let start = Instant::now();
+        f();
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    time_ms(Backend::Naive);
+    time_ms(Backend::Simd);
+    let pairs: Vec<(f64, f64)> =
+        (0..PAIRS).map(|_| (time_ms(Backend::Naive), time_ms(Backend::Simd))).collect();
+    let mut ratios: Vec<f64> = pairs.iter().map(|(naive, simd)| naive / simd).collect();
+    ratios.sort_by(f64::total_cmp);
+    let (lo, ratio, hi) = (ratios[0], ratios[PAIRS / 2], ratios[PAIRS - 1]);
+    let naive = median(pairs.iter().map(|p| p.0).collect());
+    let simd = median(pairs.iter().map(|p| p.1).collect());
+    println!(
+        "{label:<16} naive {naive:9.2} ms | simd {simd:8.2} ms | {ratio:5.2}x (pairs {lo:.2}x-{hi:.2}x)"
+    );
     ratio
 }
 

@@ -1,12 +1,10 @@
 //! Cumulative per-`(op, shape, backend)` kernel timing.
 //!
 //! `nilm_tensor::dispatch` calls [`record`] once per production kernel
-//! invocation. A call that misses the autotuner cache runs a race of every
-//! candidate instead; the race counts as one row of the winner, timed at
-//! its best rep, and the losing and repeated runs are not recorded. The
-//! serving layer surfaces the table through both the JSON and Prometheus
-//! exporters, so a dispatch regression ("why did `conv_fwd 8×512×45` fall
-//! back to naive?") is visible without re-running the autotuner offline.
+//! invocation, under the backend that ran it. The serving layer surfaces
+//! the table through both the JSON and Prometheus exporters, so a dispatch
+//! regression ("why did `conv_fwd 8×512×45` run naive?") is visible from
+//! the running process.
 //!
 //! The table is always on: kernel calls are coarse (one per layer forward,
 //! not per element), so one short mutex acquisition each is noise next to
@@ -32,7 +30,7 @@ pub struct KernelKey {
     /// Worker-pool width the shape was keyed under: the kernel may fan out
     /// this wide, not the number of groups this call split into.
     pub threads: usize,
-    /// Winning backend (`"naive"` or `"simd"`).
+    /// Backend that ran the call (`"naive"` or `"simd"`).
     pub backend: &'static str,
 }
 

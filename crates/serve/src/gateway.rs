@@ -82,7 +82,7 @@ use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -354,6 +354,11 @@ pub(crate) struct Shared {
     /// after a panic and for good when a loop exits on shutdown.
     /// `/readyz` reports 503 "batcher is restarting" only while it is 0.
     pub(crate) passes_alive: AtomicUsize,
+    /// One slot per pass loop: when its current pass began
+    /// ([`nilm_obs::trace::now_ns`] plus one), or 0 while the loop waits
+    /// for work. A pass runs from the pop of its first job to its last
+    /// answer.
+    pass_started: Box<[AtomicU64]>,
     /// Interrupts the reactor's `epoll_wait`: completions, shutdown. The
     /// pipe lives here so it outlives reactor generations (the supervisor
     /// re-registers it after a respawn).
@@ -365,6 +370,16 @@ impl Shared {
     /// panicking loop's supervisor rebuilds the registry under it next.
     fn registry(&self) -> MutexGuard<'_, ModelRegistry> {
         self.registry.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether every pass loop has been inside one pass for longer than the
+    /// configured deadline: no loop can take a new job in time.
+    fn passes_wedged(&self) -> bool {
+        let (now, limit) = (nilm_obs::trace::now_ns() + 1, self.cfg.deadline.as_nanos() as u64);
+        self.pass_started.iter().all(|started| {
+            let started = started.load(Ordering::Relaxed);
+            started != 0 && now.saturating_sub(started) > limit
+        })
     }
 
     /// Flags shutdown and pokes the reactor awake.
@@ -434,6 +449,7 @@ impl Gateway {
             shutdown: AtomicBool::new(false),
             ready: AtomicBool::new(false),
             passes_alive: AtomicUsize::new(loops),
+            pass_started: (0..loops).map(|_| AtomicU64::new(0)).collect(),
             waker: Waker::new()?,
             cfg,
             addr,
@@ -445,7 +461,7 @@ impl Gateway {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("gateway-pass-{i}"))
-                    .spawn(move || supervise_passes(&shared))
+                    .spawn(move || supervise_passes(&shared, i))
                     .expect("spawn pass loop thread")
             })
             .collect();
@@ -624,7 +640,8 @@ pub(crate) fn route(request: Request, shared: &Arc<Shared>, reply: ReplyHandle) 
 /// Computes the `/readyz` answer: `200` when the gateway can serve a
 /// localize request right now, else `503` with a JSON reason. Liveness
 /// (`/healthz`) stays `200` in states where readiness correctly drops —
-/// draining on shutdown, every pass loop respawning, queue saturated.
+/// draining on shutdown, every pass loop respawning, every pass loop stuck
+/// in one pass past [`GatewayConfig::deadline`], queue saturated.
 fn readyz_reply(shared: &Arc<Shared>) -> Reply {
     let depth = shared.queue.depth();
     let reason = if shared.shutdown.load(Ordering::SeqCst) {
@@ -633,6 +650,8 @@ fn readyz_reply(shared: &Arc<Shared>) -> Reply {
         Some("models not warm yet")
     } else if shared.passes_alive.load(Ordering::SeqCst) == 0 {
         Some("batcher is restarting")
+    } else if shared.passes_wedged() {
+        Some("pass loops wedged")
     } else if depth >= shared.cfg.queue_capacity {
         Some("queue saturated")
     } else {
@@ -847,12 +866,13 @@ fn close_queue(shared: &Shared) {
 /// A loop leaves on shutdown once it finds the queue empty; the last one
 /// to leave closes the queue. A loop that panics during shutdown closes it
 /// too: closing twice is harmless.
-fn supervise_passes(shared: &Arc<Shared>) {
+fn supervise_passes(shared: &Arc<Shared>, slot: usize) {
     // Jobs this loop took off the queue and has not answered. They live
     // here, outside the unwind, so their 503s go out after the rebuild.
     let mut in_flight: Vec<Job> = Vec::new();
     loop {
-        let outcome = catch_unwind(AssertUnwindSafe(|| pass_loop(shared, &mut in_flight)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| pass_loop(shared, slot, &mut in_flight)));
+        shared.pass_started[slot].store(0, Ordering::Relaxed);
         let alive = shared.passes_alive.fetch_sub(1, Ordering::SeqCst) - 1;
         if outcome.is_ok() {
             // `pass_loop` only returns on shutdown with the queue empty.
@@ -879,8 +899,10 @@ fn supervise_passes(shared: &Arc<Shared>) {
 /// One micro-batching pass loop: pops a job, drains the backlog behind
 /// it, decodes each job, and serves each key set as one fleet pass. Every
 /// job it takes sits in `in_flight`, from before its decode until it is
-/// answered. Returns on shutdown once the queue is empty.
-fn pass_loop(shared: &Arc<Shared>, in_flight: &mut Vec<Job>) {
+/// answered. Publishes when each pass began in its `slot` of
+/// `pass_started`, for `/readyz`. Returns on shutdown once the queue is
+/// empty.
+fn pass_loop(shared: &Arc<Shared>, slot: usize, in_flight: &mut Vec<Job>) {
     loop {
         let Some(first) = shared.queue.pop_wait(Duration::from_millis(50)) else {
             if shared.shutdown.load(Ordering::SeqCst) && shared.queue.depth() == 0 {
@@ -888,6 +910,7 @@ fn pass_loop(shared: &Arc<Shared>, in_flight: &mut Vec<Job>) {
             }
             continue;
         };
+        shared.pass_started[slot].store(nilm_obs::trace::now_ns() + 1, Ordering::Relaxed);
         in_flight.push(first);
         in_flight.extend(shared.queue.drain(shared.cfg.max_coalesce.saturating_sub(1)));
         // Deliberately after the drain: the injected panic hits with jobs
@@ -906,6 +929,7 @@ fn pass_loop(shared: &Arc<Shared>, in_flight: &mut Vec<Job>) {
             serve_group(shared, jobs);
         }
         in_flight.clear();
+        shared.pass_started[slot].store(0, Ordering::Relaxed);
     }
 }
 

@@ -310,7 +310,9 @@ fn a_wedged_pass_stalls_another_connection_only_at_width_one() {
 fn control_routes_answer_while_every_pass_loop_is_wedged() {
     // The control routes run inline on the reactor, never on the job
     // queue: with every pass loop asleep in a wedged pass, `/healthz`,
-    // `/readyz` and `/metrics` must still answer at once.
+    // `/readyz` and `/metrics` must still answer at once. `/readyz` turns
+    // `503` once every loop has been in its pass past the deadline, and
+    // back to `200` when the wedge ends.
     let _g = faults();
     let mut registry = ModelRegistry::unbounded();
     registry.insert(kettle(), random_model(&[5], 3));
@@ -359,9 +361,25 @@ fn control_routes_answer_while_every_pass_loop_is_wedged() {
         assert_503_with_retry_after(&response);
         assert!(response.body_str().unwrap().contains("deadline"), "{:?}", response.body_str());
     }
+    // No loop woke before `sent + 2 * deadline`: each naps that long from
+    // when it took the fault, after `sent`.
+    let readyz = loop {
+        let response = get(&addr, "/readyz");
+        if response.status != 200 {
+            break response;
+        }
+        assert!(sent.elapsed() < deadline * 2, "/readyz stayed 200 through the whole wedge");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_503_with_retry_after(&readyz);
+    assert!(readyz.body_str().unwrap().contains("pass loops wedged"), "{:?}", readyz.body_str());
+    let wedge_over = Instant::now() + deadline * 5;
+    while get(&addr, "/readyz").status != 200 {
+        assert!(Instant::now() < wedge_over, "/readyz never recovered after the wedge");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 
     nilm_fault::disarm_all();
-    // Shutdown joins every loop once its injected nap ends.
     gateway.shutdown();
 }
 

@@ -1,4 +1,4 @@
-//! Shape-keyed backend dispatch for the compute kernels.
+//! Backend dispatch for the compute kernels.
 //!
 //! Two backends implement every convolution:
 //!
@@ -21,10 +21,12 @@
 //! 2. the process-wide forced backend — [`set_forced_backend`] from code, or
 //!    the `NILM_BACKEND` environment variable (`naive`, `simd` or `auto`;
 //!    any other value panics, see [`env_backend`]) read once at first use;
-//! 3. the **autotuner**: per shape key (operation, `m`, `n`, `k`, *and
-//!    worker-thread count* — single-core picks different winners than a
-//!    parallel fan-out), the first call races both backends on the real
-//!    workload and caches the winner for the life of the process.
+//! 3. a fixed shape rule (`auto`): naive when the lowered GEMM's inner
+//!    dimension `in_c·k` is 1 (up to 9 on the portable microkernel) or the
+//!    call is too small to lower, simd otherwise (see `Conv1d`'s backend
+//!    selection in [`crate::conv`]).
+//!    The rule reads only the call's shape, so it costs nothing at run
+//!    time and picks the same backend in every process.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -71,7 +73,8 @@ impl std::fmt::Display for Backend {
 /// `u8::MAX` when unset.
 static FORCED: AtomicU8 = AtomicU8::new(u8::MAX);
 
-/// Parses a `NILM_BACKEND` value: unset or `auto` autotunes (`Ok(None)`),
+/// Parses a `NILM_BACKEND` value: unset or `auto` forces nothing
+/// (`Ok(None)`, the shape rule decides),
 /// a backend name forces that backend, and anything else is an error that
 /// names the accepted values.
 pub fn parse_env_backend(value: Option<&str>) -> Result<Option<Backend>, String> {
@@ -90,7 +93,7 @@ pub fn parse_env_backend(value: Option<&str>) -> Result<Option<Backend>, String>
 /// # Panics
 ///
 /// On any other value, so a typo (or a removed backend) fails loudly
-/// instead of silently autotuning.
+/// instead of silently falling back to the shape rule.
 pub fn env_backend() -> Option<Backend> {
     static ENV: OnceLock<Option<Backend>> = OnceLock::new();
     *ENV.get_or_init(|| {
@@ -101,13 +104,13 @@ pub fn env_backend() -> Option<Backend> {
 
 /// Sets (or with `None`, clears) the process-wide forced backend. A set
 /// value takes precedence over `NILM_BACKEND`; clearing restores the
-/// environment override (if present) and autotuned selection otherwise.
+/// environment override (if present) and the shape rule otherwise.
 pub fn set_forced_backend(backend: Option<Backend>) {
     FORCED.store(backend.map_or(u8::MAX, |b| b as u8), Ordering::Relaxed);
 }
 
 /// The process-wide forced backend: the programmatic override if set, else
-/// the `NILM_BACKEND` environment variable, else `None` (= autotune).
+/// the `NILM_BACKEND` environment variable, else `None` (= the shape rule).
 pub fn forced_backend() -> Option<Backend> {
     match Backend::all().get(FORCED.load(Ordering::Relaxed) as usize) {
         Some(&b) => Some(b),
@@ -195,14 +198,12 @@ pub fn fan_out<I: Sync, T: Send>(items: &[I], job: impl Fn(&I) -> T + Sync) -> V
         .collect()
 }
 
-/// Identity of one tuned problem. `threads` is part of the key because the
-/// parallel fan-out changes which backend wins: a shape whose GEMM lowering
-/// amortizes across a multi-thread row-block split can lose to the naive
-/// path when the same shape runs on a single worker.
+/// Identity of one kernel call's shape, as the cumulative kernel table
+/// ([`nilm_obs::kernel`]) and the `"kernel"` trace span name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ShapeKey {
     /// Operation tag (e.g. `"conv_fwd"`): different lowerings of the same
-    /// `(m, n, k)` tune independently.
+    /// `(m, n, k)` are separate rows.
     pub op: &'static str,
     /// Output rows of the lowered GEMM.
     pub m: usize,
@@ -210,7 +211,9 @@ pub struct ShapeKey {
     pub n: usize,
     /// Inner (accumulation) dimension.
     pub k: usize,
-    /// Worker threads available to the operation.
+    /// Worker-pool width the call ran under ([`kernel_threads`]): the
+    /// kernel may fan out this wide. It keys only the kernel table; the
+    /// backend choice does not read it.
     pub threads: usize,
 }
 
@@ -221,10 +224,7 @@ impl ShapeKey {
     }
 }
 
-/// Timed runs per candidate when autotuning (plus one untimed warm-up).
-const AUTOTUNE_REPS: usize = 2;
-
-/// Converts a [`ShapeKey`] + winning backend into the observability key
+/// Converts a [`ShapeKey`] + the backend that ran into the observability key
 /// the cumulative kernel table is indexed by.
 fn obs_key(key: ShapeKey, backend: Backend) -> nilm_obs::kernel::KernelKey {
     nilm_obs::kernel::KernelKey {
@@ -261,8 +261,8 @@ pub fn observe<R>(key: ShapeKey, backend: Backend, run: impl FnOnce() -> R) -> R
 
 /// The `"kernel"` span detail for a shape, interned so the trace hot path
 /// formats each distinct `(shape, backend)` once per process and records a
-/// `&'static str` thereafter. Shapes are bounded (the autotuner keys the
-/// same space), so the leak is bounded too.
+/// `&'static str` thereafter. Shapes are bounded (the kernel table keys
+/// the same space), so the leak is bounded too.
 fn span_detail(key: ShapeKey, backend: Backend) -> &'static str {
     static DETAILS: OnceLock<Mutex<HashMap<(ShapeKey, Backend), &'static str>>> = OnceLock::new();
     let mut map = DETAILS.get_or_init(|| Mutex::new(HashMap::new())).lock().unwrap();
@@ -277,78 +277,17 @@ fn span_detail(key: ShapeKey, backend: Backend) -> &'static str {
     })
 }
 
-fn cache() -> &'static Mutex<HashMap<ShapeKey, Backend>> {
-    static CACHE: OnceLock<Mutex<HashMap<ShapeKey, Backend>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+/// Does nothing: kept for the benchmark, which clears the autotuner cache
+/// that once raced both backends per shape. The backend now comes from a
+/// fixed shape rule, so there is nothing to clear. Goes with the next
+/// benchmark-side change.
+pub fn clear_choices() {}
 
-/// The cached winner for `key`, if this shape has been tuned.
-pub fn cached_choice(key: ShapeKey) -> Option<Backend> {
-    cache().lock().unwrap().get(&key).copied()
-}
-
-/// Records `backend` as the winner for `key` (autotuning does this
-/// automatically; exposed for tests and benchmarks).
-pub fn record_choice(key: ShapeKey, backend: Backend) {
-    cache().lock().unwrap().insert(key, backend);
-}
-
-/// Drops every tuned decision (tests / benchmarks re-tune from scratch).
-pub fn clear_choices() {
-    cache().lock().unwrap().clear();
-}
-
-/// Snapshot of the autotuner cache, sorted by key (the benchmark counts
-/// its growth as cold races).
+/// Always empty: kept for the benchmark, which counts this list's growth
+/// as cold autotuner races (`tensor.autotune_misses`). No shape is raced
+/// any more, so that count is 0. Goes with the next benchmark-side change.
 pub fn tuned_entries() -> Vec<(ShapeKey, Backend)> {
-    let mut entries: Vec<_> = cache().lock().unwrap().iter().map(|(k, v)| (*k, *v)).collect();
-    entries.sort_by_key(|(k, _)| (k.op, k.m, k.n, k.k, k.threads));
-    entries
-}
-
-/// Returns the cached winner for `key`, or races `candidates` to find it.
-///
-/// `run(backend)` must execute the real operation under `backend`; on a
-/// cache miss every candidate runs once as warm-up plus `AUTOTUNE_REPS`
-/// timed repetitions (minimum taken), the fastest is cached, and the caller
-/// is left with the output of the *last* run. All candidates must produce
-/// bit-identical output, so which one ran last is unobservable.
-///
-/// With a single candidate, or a cache hit, `run` is executed exactly once.
-pub fn autotune(key: ShapeKey, candidates: &[Backend], mut run: impl FnMut(Backend)) -> Backend {
-    assert!(!candidates.is_empty(), "autotune needs at least one candidate");
-    if let Some(choice) = cached_choice(key) {
-        observe(key, choice, || run(choice));
-        return choice;
-    }
-    if candidates.len() == 1 {
-        record_choice(key, candidates[0]);
-        observe(key, candidates[0], || run(candidates[0]));
-        return candidates[0];
-    }
-    let mut best = candidates[0];
-    let mut best_elapsed = f64::INFINITY;
-    for &candidate in candidates {
-        run(candidate); // warm-up: page in scratch buffers, warm the caches
-        let mut elapsed = f64::INFINITY;
-        for _ in 0..AUTOTUNE_REPS {
-            let start = Instant::now();
-            run(candidate);
-            elapsed = elapsed.min(start.elapsed().as_secs_f64());
-        }
-        if elapsed < best_elapsed {
-            best_elapsed = elapsed;
-            best = candidate;
-        }
-    }
-    record_choice(key, best);
-    // The race itself did real work once: account the winner's best rep in
-    // the cumulative table so first-touch shapes aren't invisible. (No
-    // span: the tuning race is measurement, not a request stage.)
-    nilm_obs::kernel::record(obs_key(key, best), (best_elapsed * 1e9) as u64);
-    // The caller's buffers currently hold the last candidate's output; all
-    // candidates are bit-identical, so no final re-run is needed.
-    best
+    Vec::new()
 }
 
 #[cfg(test)]
@@ -356,8 +295,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn two_backends_are_the_conv_race_and_round_trip_their_names() {
-        // `Conv1d` races `Backend::all()`: two candidates on every build.
+    fn two_backends_in_oracle_first_order_round_trip_their_names() {
+        // Two backends on every build, oracle first.
         assert_eq!(Backend::all(), [Backend::Naive, Backend::Simd]);
         let names: Vec<_> = Backend::all().iter().map(|b| b.as_str()).collect();
         assert_eq!(names, ["naive", "simd"]);
@@ -392,19 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_keyed_on_thread_count_as_well_as_shape() {
-        // Regression for the single-core-vs-fan-out mistuning: the same
-        // (op, m, n, k) must tune independently per worker count.
-        let one = ShapeKey { op: "test_threads", m: 8, n: 256, k: 40, threads: 1 };
-        let four = ShapeKey { op: "test_threads", m: 8, n: 256, k: 40, threads: 4 };
-        record_choice(one, Backend::Naive);
-        record_choice(four, Backend::Simd);
-        assert_eq!(cached_choice(one), Some(Backend::Naive));
-        assert_eq!(cached_choice(four), Some(Backend::Simd));
-        assert_ne!(one, four);
-    }
-
-    #[test]
     fn serial_kernels_pin_the_width_to_one_and_restore_it() {
         let outside = kernel_threads();
         assert_eq!(outside, rayon::current_num_threads());
@@ -426,30 +352,5 @@ mod tests {
         let jobs = fan_out(&[0, 1, 2], |&i| (i, kernel_threads()));
         assert_eq!(jobs, vec![(0, 1), (1, 1), (2, 1)]);
         assert_eq!(kernel_threads(), width, "the caller keeps its width");
-    }
-
-    #[test]
-    fn autotune_caches_the_winner_and_reuses_it() {
-        let key = ShapeKey { op: "test_autotune", m: 3, n: 3, k: 3, threads: 1 };
-        let mut runs = Vec::new();
-        let choice = autotune(key, &Backend::all(), |b| runs.push(b));
-        // Both candidates ran (warm-up + timed reps each).
-        assert!(runs.contains(&Backend::Naive));
-        assert!(runs.contains(&Backend::Simd));
-        assert_eq!(cached_choice(key), Some(choice));
-        // Second call: cache hit, exactly one run of the winner.
-        runs.clear();
-        let again = autotune(key, &Backend::all(), |b| runs.push(b));
-        assert_eq!(again, choice);
-        assert_eq!(runs, vec![choice]);
-    }
-
-    #[test]
-    fn single_candidate_skips_timing() {
-        let key = ShapeKey { op: "test_single", m: 1, n: 1, k: 1, threads: 1 };
-        let mut runs = 0;
-        let choice = autotune(key, &[Backend::Naive], |_| runs += 1);
-        assert_eq!(choice, Backend::Naive);
-        assert_eq!(runs, 1);
     }
 }

@@ -7,7 +7,7 @@
 //! gradients and running statistics step after step.
 //!
 //! The shapes reach each path the selector can take: a tiny problem below
-//! the autotune floor (naive), `out_c ≤ 16` (direct SIMD under the Simd
+//! the shape rule's MAC floor (naive), `out_c ≤ 16` (direct SIMD under the Simd
 //! backend on a SIMD host), `out_c > 16` (the lowered GEMM) and a batch
 //! large enough to split into per-thread groups. Like the kernel oracle,
 //! the suite honours `NILM_BACKEND`, and CI sweeps it once per backend plus
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 
 /// `(batch, in_c, out_c, k, t)`.
 const SHAPES: [(usize, usize, usize, usize, usize); 4] = [
-    // 2·6·3 MACs per item: naive, never tuned.
+    // 2·6·3 MACs per item: below the shape rule's MAC floor, naive.
     (1, 1, 2, 3, 6),
     // Skinny: the direct (im2col-free) SIMD kernel.
     (3, 4, 12, 5, 64),

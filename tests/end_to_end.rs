@@ -185,7 +185,7 @@ fn serving_surfaces_are_backend_invariant() {
         HouseholdSeries { id: format!("house-{seed}"), series: TimeSeries::new(values, 60) }
     }
 
-    // Restores autotuned dispatch even if an assertion below panics.
+    // Restores the shape-rule dispatch even if an assertion below panics.
     struct RestoreBackend;
     impl Drop for RestoreBackend {
         fn drop(&mut self) {
