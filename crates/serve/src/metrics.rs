@@ -627,6 +627,104 @@ mod tests {
         assert_eq!(hz.get("count").and_then(JsonValue::as_f64), Some(10_000.0));
     }
 
+    /// Records the process-global rows both exporters read besides
+    /// `Metrics` itself — two kernel series and one armed fault point with
+    /// a trial and a fire count — exactly once per test binary, so every
+    /// test that renders them sees the same rows whichever runs first. No
+    /// other test in this binary records kernel rows or arms faults.
+    fn global_rows() {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            use nilm_obs::kernel::{record, KernelKey};
+            let key = |op, m, backend| KernelKey { op, m, n: 512, k: 45, threads: 2, backend };
+            record(key("conv_fwd", 8, "simd"), 1_500_000);
+            record(key("conv_fwd", 8, "simd"), 500_000);
+            record(key("gemm", 16, "naive"), 250_000);
+            nilm_fault::arm_limited("metrics.golden", 1.0, 7, Some(2));
+            for _ in 0..3 {
+                nilm_fault::fires("metrics.golden");
+            }
+        });
+    }
+
+    /// Both `/metrics` documents, byte for byte, for a fixed set of
+    /// recordings that touches every family. The trace gauges are
+    /// process-global, so they are spliced in as read.
+    #[test]
+    fn exporters_match_the_golden_documents() {
+        global_rows();
+        let m = Metrics::default();
+        for route in ["localize", "localize", "localize", "healthz", "metrics", "other"] {
+            m.request(route);
+        }
+        for status in [200, 200, 200, 404, 503, 503] {
+            m.response(status);
+        }
+        m.shed();
+        for depth in [3, 7, 2] {
+            m.queue_depth(depth);
+        }
+        m.batch(1, 1, 4, 8);
+        m.batch(3, 2, 12, 36);
+        m.batch(3, 1, 6, 18);
+        for (route, ms) in
+            [("localize", 1.25), ("localize", 40.0), ("localize", 7.5), ("healthz", 0.05)]
+        {
+            m.latency_ms(route, ms);
+        }
+        for (stage, ms) in [
+            ("parse", 0.012),
+            ("queue_wait", 0.5),
+            ("decode", 0.2),
+            ("coalesce", 0.002),
+            ("preprocess", 1.5),
+            ("infer", 12.0),
+            ("infer", 3.0),
+            ("stitch", 0.75),
+            ("write", 0.03),
+        ] {
+            m.stage_ms(stage, ms);
+        }
+        let first = m.pass_begin();
+        drop(m.pass_begin());
+        let _live = m.pass_begin();
+        drop(first);
+        m.batcher_restart();
+        m.deadline_timeout();
+        m.deadline_timeout();
+        m.shard_recovery(1, 2);
+        m.shard_recovery(0, 0);
+        let stats = |hits, loads, evictions, load_failures, quarantines| RegistryStats {
+            hits,
+            loads,
+            evictions,
+            load_failures,
+            quarantines,
+        };
+        m.set_registry_current(stats(5, 3, 1, 2, 1));
+        m.roll_registry(stats(6, 3, 1, 2, 1));
+        m.set_registry_current(stats(2, 1, 0, 0, 0));
+        for events in [3, 0, 4] {
+            m.reactor_wake(events);
+        }
+        m.partial_write();
+        for depth in [2, 5, 1] {
+            m.conn_backlog(depth);
+        }
+        m.reactor_restart();
+
+        let on = nilm_obs::trace::enabled();
+        let ring = nilm_obs::trace::ring_len().to_string();
+        let json = include_str!("../tests/golden/metrics.json")
+            .replace("@TRACE_ENABLED@", if on { "true" } else { "false" })
+            .replace("@RING_SPANS@", &ring);
+        let prom = include_str!("../tests/golden/metrics.prom")
+            .replace("@TRACE_ENABLED@", if on { "1" } else { "0" })
+            .replace("@RING_SPANS@", &ring);
+        assert_eq!(m.to_json(4).to_pretty(), json);
+        assert_eq!(m.to_prometheus(4), prom);
+    }
+
     #[test]
     fn prometheus_exposition_is_well_formed() {
         let m = Metrics::new();
