@@ -44,10 +44,9 @@ pub(crate) struct InFlight {
     /// stage span of this request parents to it.
     pub root_span: u64,
     /// When the reactor parsed the request and dispatched it (answered
-    /// inline, or queued for a pass loop); latency and the request
-    /// deadline are measured from here.
-    pub dispatched: Instant,
-    /// `dispatched` on the trace clock (ns since the trace epoch).
+    /// inline, or queued for a pass loop), on the trace clock
+    /// ([`nilm_obs::trace::now_ns`]); route latency and the root span are
+    /// measured from here.
     pub dispatched_ns: u64,
     /// HTTP status of the completion that filled the slot (0 while empty).
     pub status: u16,
@@ -74,13 +73,11 @@ pub(crate) struct PendingWrite {
     pub trace: u64,
     /// Root span ID (0 when tracing is off).
     pub root_span: u64,
-    /// When the request was dispatched (end-to-end latency start).
-    pub dispatched: Instant,
-    /// `dispatched` on the trace clock.
+    /// When the request was dispatched, on the trace clock (end-to-end
+    /// latency start).
     pub dispatched_ns: u64,
-    /// When the response entered the outbox (write-stage start).
-    pub promoted: Instant,
-    /// `promoted` on the trace clock.
+    /// When the response entered the outbox, on the trace clock
+    /// (write-stage start).
     pub promoted_ns: u64,
     /// Encoded response size in bytes.
     pub bytes: usize,
@@ -220,7 +217,6 @@ impl Conn {
         route: &'static str,
         trace: u64,
         root_span: u64,
-        now: Instant,
         now_ns: u64,
     ) -> u64 {
         let seq = self.next_seq;
@@ -231,7 +227,6 @@ impl Conn {
             route,
             trace,
             root_span,
-            dispatched: now,
             dispatched_ns: now_ns,
             status: 0,
             response: None,
@@ -243,7 +238,7 @@ impl Conn {
     /// Enqueues an already-encoded response that has no pipeline slot (a
     /// parse error's 4xx, the slow-loris 408). It must still respect
     /// response order, so it rides the pipeline as a pre-completed entry.
-    pub fn push_synthetic_response(&mut self, bytes: Vec<u8>, status: u16, now: Instant) {
+    pub fn push_synthetic_response(&mut self, bytes: Vec<u8>, status: u16) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pipeline.push_back(InFlight {
@@ -252,7 +247,6 @@ impl Conn {
             route: "error",
             trace: 0,
             root_span: 0,
-            dispatched: now,
             dispatched_ns: nilm_obs::trace::now_ns(),
             status,
             response: Some(bytes),
@@ -261,7 +255,7 @@ impl Conn {
     }
 
     /// Fills the pipeline slot `seq` with its encoded response. Returns
-    /// the slot's metadata if it was still waiting — `None` means the
+    /// the slot's route and dispatch time if it was still waiting — `None` means the
     /// completion was stale (already answered by the deadline path, or
     /// the slot was discarded) and must be dropped.
     pub fn complete(
@@ -270,7 +264,7 @@ impl Conn {
         bytes: Vec<u8>,
         effective_keep_alive: bool,
         status: u16,
-    ) -> Option<(&'static str, Instant)> {
+    ) -> Option<(&'static str, u64)> {
         let slot = self.pipeline.iter_mut().find(|f| f.seq == seq)?;
         if slot.response.is_some() {
             return None;
@@ -278,7 +272,7 @@ impl Conn {
         slot.response = Some(bytes);
         slot.effective_keep_alive = effective_keep_alive;
         slot.status = status;
-        Some((slot.route, slot.dispatched))
+        Some((slot.route, slot.dispatched_ns))
     }
 
     /// Moves consecutively-ready responses from the pipeline front into
@@ -301,9 +295,7 @@ impl Conn {
                 status: front.status,
                 trace: front.trace,
                 root_span: front.root_span,
-                dispatched: front.dispatched,
                 dispatched_ns: front.dispatched_ns,
-                promoted: Instant::now(),
                 promoted_ns: nilm_obs::trace::now_ns(),
                 bytes: bytes.len(),
             });
@@ -413,9 +405,8 @@ mod tests {
     #[test]
     fn out_of_order_completions_are_written_in_request_order() {
         let (mut conn, mut client) = pair();
-        let now = Instant::now();
-        let a = conn.begin_request(true, "other", 0, 0, now, 0);
-        let b = conn.begin_request(true, "other", 0, 0, now, 0);
+        let a = conn.begin_request(true, "other", 0, 0, 0);
+        let b = conn.begin_request(true, "other", 0, 0, 0);
         // Complete the *second* request first: nothing may flush yet.
         assert!(conn.complete(b, b"B".to_vec(), true, 200).is_some());
         conn.promote();
@@ -429,8 +420,7 @@ mod tests {
     #[test]
     fn stale_completions_are_dropped() {
         let (mut conn, _client) = pair();
-        let now = Instant::now();
-        let a = conn.begin_request(true, "other", 0, 0, now, 0);
+        let a = conn.begin_request(true, "other", 0, 0, 0);
         assert!(conn.complete(a, b"first".to_vec(), true, 200).is_some());
         assert!(
             conn.complete(a, b"late duplicate".to_vec(), true, 200).is_none(),
@@ -442,8 +432,7 @@ mod tests {
     #[test]
     fn forced_short_writes_resume_where_they_stopped() {
         let (mut conn, mut client) = pair();
-        let now = Instant::now();
-        let seq = conn.begin_request(true, "other", 0, 0, now, 0);
+        let seq = conn.begin_request(true, "other", 0, 0, 0);
         let body = encode_response_with(200, "OK", "application/json", b"{\"ok\":true}", true, &[]);
         let total = body.len();
         conn.complete(seq, body, true, 200);
@@ -461,8 +450,7 @@ mod tests {
     #[test]
     fn completed_writes_resolve_only_when_the_last_byte_leaves() {
         let (mut conn, mut client) = pair();
-        let now = Instant::now();
-        let seq = conn.begin_request(true, "localize", 42, 7, now, 123);
+        let seq = conn.begin_request(true, "localize", 42, 7, 123);
         conn.complete(seq, b"hello".to_vec(), true, 200);
         conn.promote();
         assert!(conn.take_completed_writes().is_empty(), "nothing written yet");
@@ -484,9 +472,8 @@ mod tests {
     #[test]
     fn close_response_discards_pipelined_leftovers() {
         let (mut conn, mut client) = pair();
-        let now = Instant::now();
-        let a = conn.begin_request(false, "other", 0, 0, now, 0);
-        let _b = conn.begin_request(true, "other", 0, 0, now, 0);
+        let a = conn.begin_request(false, "other", 0, 0, 0);
+        let _b = conn.begin_request(true, "other", 0, 0, 0);
         conn.complete(a, b"bye".to_vec(), false, 200);
         conn.promote();
         assert!(conn.close_after_flush);
@@ -499,11 +486,10 @@ mod tests {
     #[test]
     fn backpressure_drops_read_interest_at_the_pipeline_bound() {
         let (mut conn, _client) = pair();
-        let now = Instant::now();
         assert!(conn.wants_read(2));
-        conn.begin_request(true, "other", 0, 0, now, 0);
+        conn.begin_request(true, "other", 0, 0, 0);
         assert!(conn.wants_read(2));
-        let a = conn.begin_request(true, "other", 0, 0, now, 0);
+        let a = conn.begin_request(true, "other", 0, 0, 0);
         assert!(!conn.wants_read(2), "a full pipeline must stop reading");
         conn.complete(a, b"x".to_vec(), true, 200);
         // Still full until the front drains too — order, not count alone.

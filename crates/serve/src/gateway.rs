@@ -85,7 +85,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning knobs of a [`Gateway`].
 #[derive(Clone, Debug)]
@@ -311,9 +311,8 @@ pub(crate) struct Job {
     /// (queue-wait, decode, coalesce, fleet stages) parent to the root
     /// span.
     trace: (u64, u64),
-    /// When the job entered the queue — the queue-wait stage starts here.
-    enqueued: Instant,
-    /// `enqueued` on the trace clock.
+    /// When the job entered the queue, on the trace clock
+    /// ([`nilm_obs::trace::now_ns`]) — the queue-wait stage starts here.
     enqueued_ns: u64,
     /// Exactly-once reply channel back to the reactor, taken by
     /// [`Job::answer`]; dropping it unanswered (a panicked pass loop's
@@ -445,7 +444,7 @@ impl Gateway {
             registry: Mutex::new(registry),
             spec,
             cores: CoreBudget::new(loops),
-            metrics: Metrics::new(),
+            metrics: Metrics::default(),
             shutdown: AtomicBool::new(false),
             ready: AtomicBool::new(false),
             passes_alive: AtomicUsize::new(loops),
@@ -506,9 +505,10 @@ impl Gateway {
 }
 
 /// Metrics route label for one `(method, path)` pair; the query string is
-/// ignored. The reactor stamps this on every request at parse time so the
-/// per-route latency histogram and the slow-request log agree with the
-/// dispatch below.
+/// ignored. The reactor counts every request under this label at parse
+/// time and stamps it on the request, so the per-route request counter,
+/// the latency histogram and the slow-request log agree with the dispatch
+/// below.
 pub(crate) fn route_label(method: &str, path: &str) -> &'static str {
     let path = path.split('?').next().unwrap_or(path);
     match (method, path) {
@@ -542,7 +542,6 @@ pub(crate) fn route(request: Request, shared: &Arc<Shared>, reply: ReplyHandle) 
     };
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => {
-            shared.metrics.request("healthz");
             let doc = JsonValue::object([
                 ("status", JsonValue::String("ok".into())),
                 ("models", JsonValue::Number(shared.models.len() as f64)),
@@ -551,12 +550,8 @@ pub(crate) fn route(request: Request, shared: &Arc<Shared>, reply: ReplyHandle) 
             ]);
             reply.send(Reply::new(200, "OK", doc.to_compact()));
         }
-        ("GET", "/readyz") => {
-            shared.metrics.request("readyz");
-            reply.send(readyz_reply(shared));
-        }
+        ("GET", "/readyz") => reply.send(readyz_reply(shared)),
         ("GET", "/metrics") => {
-            shared.metrics.request("metrics");
             if query_param(query, "format") == Some("prometheus") {
                 reply.send(Reply::plain_text(
                     shared.metrics.to_prometheus(shared.queue.depth()),
@@ -570,12 +565,8 @@ pub(crate) fn route(request: Request, shared: &Arc<Shared>, reply: ReplyHandle) 
                 ));
             }
         }
-        ("GET", "/debug/trace") => {
-            shared.metrics.request("debug_trace");
-            reply.send(debug_trace_reply(query));
-        }
+        ("GET", "/debug/trace") => reply.send(debug_trace_reply(query)),
         ("GET", "/v1/models") => {
-            shared.metrics.request("models");
             let rows: Vec<JsonValue> = shared
                 .models
                 .iter()
@@ -605,12 +596,8 @@ pub(crate) fn route(request: Request, shared: &Arc<Shared>, reply: ReplyHandle) 
                 JsonValue::object([("models", JsonValue::Array(rows))]).to_compact(),
             ));
         }
-        ("POST", "/v1/localize") => {
-            shared.metrics.request("localize");
-            queue_localize(request.body, shared, reply);
-        }
+        ("POST", "/v1/localize") => queue_localize(request.body, shared, reply),
         ("POST", "/admin/shutdown") => {
-            shared.metrics.request("shutdown");
             shared.request_shutdown();
             reply.send(Reply::new(
                 200,
@@ -622,18 +609,12 @@ pub(crate) fn route(request: Request, shared: &Arc<Shared>, reply: ReplyHandle) 
             _,
             "/healthz" | "/readyz" | "/metrics" | "/v1/models" | "/v1/localize" | "/admin/shutdown"
             | "/debug/trace",
-        ) => {
-            shared.metrics.request("other");
-            reply.send(Reply::new(
-                405,
-                "Method Not Allowed",
-                error_body("method not allowed for this path"),
-            ));
-        }
-        _ => {
-            shared.metrics.request("other");
-            reply.send(Reply::new(404, "Not Found", error_body("no such route")));
-        }
+        ) => reply.send(Reply::new(
+            405,
+            "Method Not Allowed",
+            error_body("method not allowed for this path"),
+        )),
+        _ => reply.send(Reply::new(404, "Not Found", error_body("no such route"))),
     }
 }
 
@@ -735,7 +716,6 @@ fn queue_localize(body: Vec<u8>, shared: &Arc<Shared>, reply: ReplyHandle) {
         households: Vec::new(),
         detail: Detail::Full,
         trace: reply.trace,
-        enqueued: Instant::now(),
         enqueued_ns: nilm_obs::trace::now_ns(),
         reply: Some(reply),
     };
@@ -794,20 +774,8 @@ fn validate_localize(shared: &Shared, body: &[u8]) -> Result<LocalizeRequest, Re
 /// returns `true`; an invalid one is answered `400`/`404` here and
 /// returns `false`.
 fn decode(shared: &Shared, job: &mut Job) -> bool {
-    let start = Instant::now();
-    let start_ns = nilm_obs::trace::now_ns();
-    let traced = nilm_obs::trace::enabled() && job.trace.1 != 0;
-    shared.metrics.stage_ms("queue_wait", start.duration_since(job.enqueued).as_secs_f64() * 1e3);
-    if traced {
-        nilm_obs::trace::record_span(
-            nilm_obs::trace::TraceId(job.trace.0),
-            job.trace.1,
-            "queue_wait",
-            String::new(),
-            job.enqueued_ns,
-            start_ns.saturating_sub(job.enqueued_ns).max(1),
-        );
-    }
+    let start = nilm_obs::trace::now_ns();
+    shared.metrics.stage("queue_wait", job.trace, job.enqueued_ns, start, String::new);
     // A wedged decode: sleeps past the request's deadline, proving the
     // reactor-side timer answers even when decode itself is stuck. The
     // draw is keyed by the request, `(conn_id, seq)`, so the same requests
@@ -819,18 +787,8 @@ fn decode(shared: &Shared, job: &mut Job) -> bool {
     }
     let body = std::mem::take(&mut job.body);
     let outcome = validate_localize(shared, &body);
-    let decode_ms = start.elapsed().as_secs_f64() * 1e3;
-    shared.metrics.stage_ms("decode", decode_ms);
-    if traced {
-        nilm_obs::trace::record_span(
-            nilm_obs::trace::TraceId(job.trace.0),
-            job.trace.1,
-            "decode",
-            format!("bytes={}", body.len()),
-            start_ns,
-            ((decode_ms * 1e6) as u64).max(1),
-        );
-    }
+    let end = nilm_obs::trace::now_ns();
+    shared.metrics.stage("decode", job.trace, start, end, || format!("bytes={}", body.len()));
     match outcome {
         Ok(parsed) => {
             job.group = parsed.appliances.clone();
@@ -946,9 +904,7 @@ fn serve_group(shared: &Arc<Shared>, jobs: &mut [Job]) {
         apply_priors: shared.cfg.apply_priors,
     };
     // The coalesce stage (merging households into one pass) starts here.
-    let coalesce_start = Instant::now();
-    let coalesce_start_ns = nilm_obs::trace::now_ns();
-    let tracing = nilm_obs::trace::enabled();
+    let coalesce_start = nilm_obs::trace::now_ns();
     let mut merged: Vec<HouseholdSeries> = Vec::new();
     let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(jobs.len());
     for job in jobs.iter_mut() {
@@ -959,21 +915,11 @@ fn serve_group(shared: &Arc<Shared>, jobs: &mut [Job]) {
         ranges.push((merged.len(), households.len()));
         merged.extend(households);
     }
-    let coalesce_ms = coalesce_start.elapsed().as_secs_f64() * 1e3;
-    shared.metrics.stage_ms("coalesce", coalesce_ms);
-    if tracing {
-        for job in jobs.iter() {
-            if job.trace.1 != 0 {
-                nilm_obs::trace::record_span(
-                    nilm_obs::trace::TraceId(job.trace.0),
-                    job.trace.1,
-                    "coalesce",
-                    format!("jobs={} households={}", jobs.len(), merged.len()),
-                    coalesce_start_ns,
-                    ((coalesce_ms * 1e6) as u64).max(1),
-                );
-            }
-        }
+    let coalesce_end = nilm_obs::trace::now_ns();
+    for job in jobs.iter() {
+        shared.metrics.stage("coalesce", job.trace, coalesce_start, coalesce_end, || {
+            format!("jobs={} households={}", jobs.len(), merged.len())
+        });
     }
     // The pass is in flight (the `/metrics` overlap gauge) from here until
     // its jobs are answered.
@@ -995,7 +941,7 @@ fn serve_group(shared: &Arc<Shared>, jobs: &mut [Job]) {
     // The fleet pass runs with every job's trace in context: the stage
     // spans recorded inside `run_fleet` (preprocess, infer + kernel
     // children, stitch) are duplicated per coalesced request.
-    let ctx: Vec<nilm_obs::trace::CtxEntry> = if tracing {
+    let ctx: Vec<nilm_obs::trace::CtxEntry> = if nilm_obs::trace::enabled() {
         jobs.iter().filter(|j| j.trace.1 != 0).map(|j| j.trace).collect()
     } else {
         Vec::new()
@@ -1012,18 +958,7 @@ fn serve_group(shared: &Arc<Shared>, jobs: &mut [Job]) {
     };
     match outcome {
         Ok(result) => {
-            shared.metrics.batch(
-                jobs.len(),
-                result.summary.batches,
-                result.summary.feed_windows_scored,
-                result.summary.inferences,
-            );
-            shared
-                .metrics
-                .shard_recovery(result.summary.shard_retries, result.summary.households_degraded);
-            shared.metrics.stage_ms("preprocess", result.summary.preprocess_s * 1e3);
-            shared.metrics.stage_ms("infer", result.summary.infer_s * 1e3);
-            shared.metrics.stage_ms("stitch", result.summary.stitch_s * 1e3);
+            shared.metrics.pass(jobs.len(), &result.summary);
             for (job, (start, len)) in jobs.iter_mut().zip(ranges) {
                 let rows: Vec<HouseholdRow> = (start..start + len)
                     .map(|hi| {

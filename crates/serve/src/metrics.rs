@@ -1,34 +1,47 @@
 //! Operational metrics of the gateway, served as JSON on `GET /metrics`
 //! and in Prometheus text exposition on `GET /metrics?format=prometheus`.
 //!
-//! Counters are grouped behind one mutex (the gateway records a handful of
-//! updates per request — contention is negligible next to inference) and
-//! snapshot into a [`JsonValue`] document or an exposition body on demand.
-//! Latencies live in [`nilm_obs::hist::Histogram`]s — log-linear HDR-style
-//! histograms with bounded memory and a ~0.4% quantile error — keyed by
-//! route, plus one histogram per pipeline stage (`parse`, `queue_wait`,
-//! `decode`, `coalesce`, `preprocess`, `infer`, `stitch`, `write`), so the
-//! full latency distribution survives indefinitely instead of a lossy
-//! last-N window.
+//! **Recording.** Counters sit behind one mutex (the gateway records a
+//! handful of updates per request — contention is negligible next to
+//! inference). Latencies live in [`nilm_obs::hist::Histogram`]s —
+//! log-linear HDR-style histograms with bounded memory and a ~0.4%
+//! quantile error — one per route (dispatch → reply) and one per pipeline
+//! stage, so the full distribution survives indefinitely. A gateway-side
+//! stage (`parse`, `queue_wait`, `decode`, `coalesce`, `write`) is one
+//! [`Metrics::stage`] call per request, with its start and end on the
+//! trace clock ([`nilm_obs::trace::now_ns`]): the call always records the
+//! histogram sample and records the span only when the request is traced.
+//! Route latency runs on the same clock. The fleet-internal stages
+//! (`preprocess`, `infer`, `stitch`) are shard-summed CPU time, recorded
+//! once per pass by [`Metrics::pass`] with the pass's work and recovery
+//! counters.
 //!
-//! Recovery is observable, not just tested: the document carries pass-loop
-//! restarts (`batcher_restarts`), per-request deadline timeouts, fleet
-//! shard retries and degraded households, the registry's load-failure /
-//! quarantine counters (kept monotonic across registry rebuilds by folding
-//! each replaced registry's totals into a base), and — when fault
-//! injection is armed —
-//! per-point trial/fire counts from [`nilm_fault::stats`]. Pass overlap
-//! shows as a gauge of fleet passes in flight and a counter of passes that
-//! started while another was running. Cumulative
-//! per-`(op, shape, backend)` kernel timings from
-//! [`nilm_obs::kernel::stats`] ride along in both exporters.
+//! **Exporting.** Both exporters walk one ordered list of metric families
+//! (name, type, help, labelled values), read once under the lock. The
+//! JSON document keys each family it carries by its JSON name; a few JSON
+//! shapes stay hand-written for dashboard continuity: `requests_total`,
+//! the `latency_ms` headline, `ready_events_per_wake`, the zero-padded
+//! `batch_requests_histogram` keys, and the nested `faults` and `trace`
+//! objects.
+//!
+//! Recovery is observable, not just tested: pass-loop restarts, deadline
+//! timeouts, fleet shard retries and degraded households, the registry's
+//! load-failure / quarantine counters (monotonic across registry
+//! rebuilds: each replaced registry's totals fold into a base), and — when
+//! fault injection is armed — per-point trial/fire counts from
+//! [`nilm_fault::stats`]. Pass overlap shows as a gauge of fleet passes in
+//! flight and a counter of passes that started while another was running.
+//! Cumulative per-`(op, shape, backend)` kernel timings come from
+//! [`nilm_obs::kernel::stats`].
 
+use camal::fleet::FleetSummary;
 use camal::registry::RegistryStats;
 use nilm_json::JsonValue;
 use nilm_obs::hist::Histogram;
+use nilm_obs::kernel::{KernelKey, KernelStat};
 use nilm_obs::prom::PromWriter;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[derive(Default)]
 struct Inner {
@@ -49,7 +62,7 @@ struct Inner {
     windows_scored_total: u64,
     inferences_total: u64,
     /// Peak queue depth observed at enqueue time.
-    queue_peak: usize,
+    queue_peak: u64,
     /// End-to-end latency distribution per route (dispatch → reply).
     latency: BTreeMap<&'static str, Histogram>,
     /// Per-pipeline-stage duration distributions (`parse`, `queue_wait`,
@@ -57,7 +70,7 @@ struct Inner {
     stages: BTreeMap<&'static str, Histogram>,
     /// Fleet passes running now, and passes that started while another
     /// was running (the pass loops' overlap).
-    passes_in_flight: usize,
+    passes_in_flight: u64,
     passes_overlapped: u64,
     /// Pass-loop restarts after a panic.
     batcher_restarts: u64,
@@ -84,7 +97,7 @@ struct Inner {
     partial_writes: u64,
     /// Largest per-connection in-flight pipeline (requests parsed but not
     /// yet answered) observed on any connection.
-    conn_backlog_peak: usize,
+    conn_backlog_peak: u64,
     /// Reactor generations respawned after an event-loop panic.
     reactor_restarts: u64,
 }
@@ -107,63 +120,101 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// A fresh, zeroed sink.
-    pub fn new() -> Self {
-        Metrics::default()
+    /// The counters. Every update is a few plain field writes, so a panic
+    /// elsewhere cannot leave them half-written: a poisoned lock is taken
+    /// as is (a pass guard dropping during an unwind still counts down).
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Counts one request hitting `route`.
     pub fn request(&self, route: &'static str) {
-        let mut m = self.inner.lock().expect("metrics lock");
+        let mut m = self.lock();
         m.requests_total += 1;
         *m.by_route.entry(route).or_insert(0) += 1;
     }
 
     /// Counts one response with `status`.
     pub fn response(&self, status: u16) {
-        let mut m = self.inner.lock().expect("metrics lock");
-        *m.by_status.entry(status).or_insert(0) += 1;
+        *self.lock().by_status.entry(status).or_insert(0) += 1;
     }
 
     /// Counts one load-shedding rejection (a `503` from a full queue; the
     /// response itself is counted by [`Metrics::response`]).
     pub fn shed(&self) {
-        self.inner.lock().expect("metrics lock").shed_total += 1;
+        self.lock().shed_total += 1;
     }
 
     /// Records the queue depth observed right after an enqueue.
     pub fn queue_depth(&self, depth: usize) {
-        let mut m = self.inner.lock().expect("metrics lock");
-        m.queue_peak = m.queue_peak.max(depth);
+        let mut m = self.lock();
+        m.queue_peak = m.queue_peak.max(depth as u64);
     }
 
-    /// Records one fleet pass: how many requests it coalesced and the
-    /// fleet-pass work counters.
-    pub fn batch(&self, requests: usize, gemm_batches: usize, windows: usize, inferences: usize) {
-        let mut m = self.inner.lock().expect("metrics lock");
+    /// Records one request's end-to-end latency under its route label.
+    pub fn latency_ms(&self, route: &'static str, ms: f64) {
+        self.lock().latency.entry(route).or_default().record_ms(ms);
+    }
+
+    /// Records stage `name` of one request, which ran from `start_ns` to
+    /// `end_ns` on the trace clock ([`nilm_obs::trace::now_ns`]): always as
+    /// a sample of the stage's histogram, and as a span under the
+    /// request's root span when the request is traced (`trace` is its
+    /// `(trace_id, root_span_id)`, and the root span is 0 when it is not).
+    /// `detail` is built only for the span.
+    pub fn stage(
+        &self,
+        name: &'static str,
+        trace: (u64, u64),
+        start_ns: u64,
+        end_ns: u64,
+        detail: impl FnOnce() -> String,
+    ) {
+        let dur_ns = end_ns.saturating_sub(start_ns);
+        self.stage_ms(name, dur_ns as f64 / 1e6);
+        if trace.1 != 0 && nilm_obs::trace::enabled() {
+            let id = nilm_obs::trace::TraceId(trace.0);
+            nilm_obs::trace::record_span(id, trace.1, name, detail(), start_ns, dur_ns.max(1));
+        }
+    }
+
+    /// Records one fleet pass that answered `requests` coalesced requests:
+    /// its size, its work and recovery counters, and its in-fleet stages
+    /// (`preprocess`, `infer`, `stitch`: CPU time summed over shards, one
+    /// sample per pass).
+    pub fn pass(&self, requests: usize, s: &FleetSummary) {
+        self.batch(requests, s.batches, s.feed_windows_scored, s.inferences);
+        self.shard_recovery(s.shard_retries, s.households_degraded);
+        for (stage, secs) in
+            [("preprocess", s.preprocess_s), ("infer", s.infer_s), ("stitch", s.stitch_s)]
+        {
+            self.stage_ms(stage, secs * 1e3);
+        }
+    }
+
+    fn batch(&self, requests: usize, gemm_batches: usize, windows: usize, inferences: usize) {
+        let mut m = self.lock();
         *m.batch_requests_hist.entry(requests).or_insert(0) += 1;
         m.gemm_batches_total += gemm_batches as u64;
         m.windows_scored_total += windows as u64;
         m.inferences_total += inferences as u64;
     }
 
-    /// Records one request's end-to-end latency under its route label.
-    pub fn latency_ms(&self, route: &'static str, ms: f64) {
-        let mut m = self.inner.lock().expect("metrics lock");
-        m.latency.entry(route).or_default().record_ms(ms);
+    fn shard_recovery(&self, retries: usize, degraded: usize) {
+        let mut m = self.lock();
+        m.shard_retries += retries as u64;
+        m.households_degraded += degraded as u64;
     }
 
-    /// Records one pipeline-stage duration sample.
-    pub fn stage_ms(&self, stage: &'static str, ms: f64) {
-        let mut m = self.inner.lock().expect("metrics lock");
-        m.stages.entry(stage).or_default().record_ms(ms);
+    fn stage_ms(&self, stage: &'static str, ms: f64) {
+        self.lock().stages.entry(stage).or_default().record_ms(ms);
     }
 
     /// Marks one fleet pass in flight until the returned guard drops (an
     /// unwinding pass included), counting it as overlapped when another
     /// pass was already running.
     pub fn pass_begin(&self) -> PassInFlight<'_> {
-        let mut m = self.inner.lock().expect("metrics lock");
+        let mut m = self.lock();
         if m.passes_in_flight > 0 {
             m.passes_overlapped += 1;
         }
@@ -173,295 +224,105 @@ impl Metrics {
 
     /// Counts one pass-loop restart after a panic.
     pub fn batcher_restart(&self) {
-        self.inner.lock().expect("metrics lock").batcher_restarts += 1;
+        self.lock().batcher_restarts += 1;
     }
 
     /// Counts one localize request that hit its deadline before its pass
     /// replied (answered `503` + `Retry-After`).
     pub fn deadline_timeout(&self) {
-        self.inner.lock().expect("metrics lock").deadline_timeouts += 1;
-    }
-
-    /// Records one fleet pass's recovery counters: shards retried after a
-    /// panic and households answered with degraded rows.
-    pub fn shard_recovery(&self, retries: usize, degraded: usize) {
-        let mut m = self.inner.lock().expect("metrics lock");
-        m.shard_retries += retries as u64;
-        m.households_degraded += degraded as u64;
+        self.lock().deadline_timeouts += 1;
     }
 
     /// Updates the live registry counters.
     pub fn set_registry_current(&self, stats: RegistryStats) {
-        self.inner.lock().expect("metrics lock").registry_current = stats;
+        self.lock().registry_current = stats;
     }
 
     /// Folds a replaced registry's final counters into the base, so the
     /// exported totals stay monotonic across rebuilds. The fresh registry
     /// starts from zero.
     pub fn roll_registry(&self, last_seen: RegistryStats) {
-        let mut m = self.inner.lock().expect("metrics lock");
+        let mut m = self.lock();
         m.registry_base = add_stats(m.registry_base, last_seen);
         m.registry_current = RegistryStats::default();
     }
 
     /// Records one reactor wake and how many readiness events it carried.
     pub fn reactor_wake(&self, ready_events: usize) {
-        let mut m = self.inner.lock().expect("metrics lock");
+        let mut m = self.lock();
         m.epoll_wakeups += 1;
         m.ready_events += ready_events as u64;
     }
 
     /// Counts one response write parked on `EWOULDBLOCK` / a short write.
     pub fn partial_write(&self) {
-        self.inner.lock().expect("metrics lock").partial_writes += 1;
+        self.lock().partial_writes += 1;
     }
 
     /// Records a connection's in-flight pipeline depth; keeps the peak.
     pub fn conn_backlog(&self, depth: usize) {
-        let mut m = self.inner.lock().expect("metrics lock");
-        m.conn_backlog_peak = m.conn_backlog_peak.max(depth);
+        let mut m = self.lock();
+        m.conn_backlog_peak = m.conn_backlog_peak.max(depth as u64);
     }
 
     /// Counts one reactor respawn after an event-loop panic.
     pub fn reactor_restart(&self) {
-        self.inner.lock().expect("metrics lock").reactor_restarts += 1;
+        self.lock().reactor_restarts += 1;
     }
 
     /// Snapshot as the `GET /metrics` JSON document. `queue_depth` is the
     /// live depth sampled by the caller.
     pub fn to_json(&self, queue_depth: usize) -> JsonValue {
-        let m = self.inner.lock().expect("metrics lock");
-        let routes: BTreeMap<String, JsonValue> =
-            m.by_route.iter().map(|(k, v)| (k.to_string(), JsonValue::Number(*v as f64))).collect();
-        let statuses: BTreeMap<String, JsonValue> = m
-            .by_status
-            .iter()
-            .map(|(k, v)| (k.to_string(), JsonValue::Number(*v as f64)))
+        let m = self.lock();
+        let kernels = nilm_obs::kernel::stats();
+        let mut doc: BTreeMap<String, JsonValue> = families(&m, queue_depth, &kernels)
+            .into_iter()
+            .filter_map(|f| Some((f.json?.to_string(), f.to_json())))
             .collect();
-        let hist: BTreeMap<String, JsonValue> = m
-            .batch_requests_hist
-            .iter()
-            .map(|(k, v)| (format!("{k:04}"), JsonValue::Number(*v as f64)))
-            .collect();
+        let count = |n: u64| JsonValue::Number(n as f64);
+        // Localize end-to-end latency, the headline series. Kept at the top
+        // level (and in this shape) for dashboard continuity;
+        // `latency_by_route` has every route.
         let localize = m.latency.get("localize");
-        let by_route: BTreeMap<String, JsonValue> =
-            m.latency.iter().map(|(k, h)| (k.to_string(), hist_json(h))).collect();
-        let stages: BTreeMap<String, JsonValue> =
-            m.stages.iter().map(|(k, h)| (k.to_string(), hist_json(h))).collect();
-        JsonValue::object([
-            ("requests_total", JsonValue::Number(m.requests_total as f64)),
-            ("requests_by_route", JsonValue::Object(routes)),
-            ("responses_by_status", JsonValue::Object(statuses)),
-            ("shed_total", JsonValue::Number(m.shed_total as f64)),
-            ("batch_requests_histogram", JsonValue::Object(hist)),
-            ("gemm_batches_total", JsonValue::Number(m.gemm_batches_total as f64)),
-            ("windows_scored_total", JsonValue::Number(m.windows_scored_total as f64)),
-            ("inferences_total", JsonValue::Number(m.inferences_total as f64)),
-            ("queue_depth", JsonValue::Number(queue_depth as f64)),
-            ("queue_peak", JsonValue::Number(m.queue_peak as f64)),
+        let headline = |f: fn(&Histogram) -> f64| JsonValue::Number(localize.map_or(0.0, f));
+        let per_wake = m.ready_events as f64 / m.epoll_wakeups.max(1) as f64;
+        let padded = m.batch_requests_hist.iter().map(|(k, v)| (format!("{k:04}"), count(*v)));
+        let faults = nilm_fault::stats().into_iter().map(|(point, s)| {
+            (point, JsonValue::object([("trials", count(s.trials)), ("fired", count(s.fired))]))
+        });
+        let trace = JsonValue::object([
+            ("enabled", JsonValue::Bool(nilm_obs::trace::enabled())),
+            ("ring_spans", count(nilm_obs::trace::ring_len() as u64)),
+        ]);
+        let explicit = [
+            ("requests_total", count(m.requests_total)),
+            ("batch_requests_histogram", JsonValue::Object(padded.collect())),
             (
-                // Localize end-to-end latency, the headline series. Kept at
-                // the top level (and in this shape) for dashboard
-                // continuity; `latency_by_route` has every route.
                 "latency_ms",
                 JsonValue::object([
-                    (
-                        "count",
-                        JsonValue::Number(localize.map(Histogram::count).unwrap_or(0) as f64),
-                    ),
-                    ("mean", JsonValue::Number(localize.map(Histogram::mean_ms).unwrap_or(0.0))),
-                    (
-                        "p50",
-                        JsonValue::Number(localize.map(|h| h.quantile_ms(0.50)).unwrap_or(0.0)),
-                    ),
-                    (
-                        "p99",
-                        JsonValue::Number(localize.map(|h| h.quantile_ms(0.99)).unwrap_or(0.0)),
-                    ),
+                    ("count", headline(|h| h.count() as f64)),
+                    ("mean", headline(Histogram::mean_ms)),
+                    ("p50", headline(|h| h.quantile_ms(0.50))),
+                    ("p99", headline(|h| h.quantile_ms(0.99))),
                 ]),
             ),
-            ("latency_by_route", JsonValue::Object(by_route)),
-            ("stages", JsonValue::Object(stages)),
-            ("kernels", kernels_json()),
-            ("epoll_wakeups", JsonValue::Number(m.epoll_wakeups as f64)),
-            (
-                "ready_events_per_wake",
-                JsonValue::Number(if m.epoll_wakeups > 0 {
-                    m.ready_events as f64 / m.epoll_wakeups as f64
-                } else {
-                    0.0
-                }),
-            ),
-            ("partial_writes", JsonValue::Number(m.partial_writes as f64)),
-            ("conn_backlog_peak", JsonValue::Number(m.conn_backlog_peak as f64)),
-            ("reactor_restarts", JsonValue::Number(m.reactor_restarts as f64)),
-            ("passes_in_flight", JsonValue::Number(m.passes_in_flight as f64)),
-            ("passes_overlapped_total", JsonValue::Number(m.passes_overlapped as f64)),
-            ("batcher_restarts", JsonValue::Number(m.batcher_restarts as f64)),
-            ("deadline_timeouts", JsonValue::Number(m.deadline_timeouts as f64)),
-            ("shard_retries_total", JsonValue::Number(m.shard_retries as f64)),
-            ("households_degraded_total", JsonValue::Number(m.households_degraded as f64)),
-            ("registry", registry_json(add_stats(m.registry_base, m.registry_current))),
-            ("faults", faults_json()),
-            (
-                "trace",
-                JsonValue::object([
-                    ("enabled", JsonValue::Bool(nilm_obs::trace::enabled())),
-                    ("ring_spans", JsonValue::Number(nilm_obs::trace::ring_len() as f64)),
-                ]),
-            ),
-        ])
+            ("ready_events_per_wake", JsonValue::Number(per_wake)),
+            ("faults", JsonValue::Object(faults.collect())),
+            ("trace", trace),
+        ];
+        doc.extend(explicit.map(|(k, v)| (k.to_string(), v)));
+        JsonValue::Object(doc)
     }
 
     /// Snapshot as a Prometheus text-exposition (0.0.4) body, for
     /// `GET /metrics?format=prometheus`.
     pub fn to_prometheus(&self, queue_depth: usize) -> String {
-        let m = self.inner.lock().expect("metrics lock");
+        let m = self.lock();
+        let kernels = nilm_obs::kernel::stats();
         let mut w = PromWriter::new();
-
-        w.family("nilm_requests_total", "counter", "Requests received, by route.");
-        for (route, n) in &m.by_route {
-            w.sample("nilm_requests_total", &[("route", route)], *n as f64);
+        for family in families(&m, queue_depth, &kernels) {
+            family.write(&mut w);
         }
-        w.family("nilm_responses_total", "counter", "Responses sent, by HTTP status.");
-        for (status, n) in &m.by_status {
-            w.sample("nilm_responses_total", &[("status", &status.to_string())], *n as f64);
-        }
-        w.family("nilm_shed_total", "counter", "Requests shed by the full queue.");
-        w.sample("nilm_shed_total", &[], m.shed_total as f64);
-
-        w.family(
-            "nilm_batch_passes_total",
-            "counter",
-            "Batcher passes, by number of coalesced requests.",
-        );
-        for (requests, n) in &m.batch_requests_hist {
-            w.sample("nilm_batch_passes_total", &[("requests", &requests.to_string())], *n as f64);
-        }
-        w.family("nilm_gemm_batches_total", "counter", "GEMM batch tensors assembled.");
-        w.sample("nilm_gemm_batches_total", &[], m.gemm_batches_total as f64);
-        w.family("nilm_windows_scored_total", "counter", "Detector windows scored.");
-        w.sample("nilm_windows_scored_total", &[], m.windows_scored_total as f64);
-        w.family("nilm_inferences_total", "counter", "Ensemble-member inferences run.");
-        w.sample("nilm_inferences_total", &[], m.inferences_total as f64);
-
-        w.family("nilm_queue_depth", "gauge", "Jobs waiting in the batcher queue now.");
-        w.sample("nilm_queue_depth", &[], queue_depth as f64);
-        w.family("nilm_queue_peak", "gauge", "Peak queue depth observed at enqueue.");
-        w.sample("nilm_queue_peak", &[], m.queue_peak as f64);
-
-        w.family(
-            "nilm_request_duration_seconds",
-            "histogram",
-            "End-to-end request latency (dispatch to reply), by route.",
-        );
-        for (route, h) in &m.latency {
-            w.histogram("nilm_request_duration_seconds", &[("route", route)], h);
-        }
-        w.family(
-            "nilm_stage_duration_seconds",
-            "histogram",
-            "Per-pipeline-stage duration (parse, queue_wait, decode, coalesce, preprocess, \
-             infer, stitch, write).",
-        );
-        for (stage, h) in &m.stages {
-            w.histogram("nilm_stage_duration_seconds", &[("stage", stage)], h);
-        }
-
-        w.family(
-            "nilm_kernel_calls_total",
-            "counter",
-            "Production kernel invocations, by op, GEMM shape, keyed pool width, and backend.",
-        );
-        w.family(
-            "nilm_kernel_seconds_total",
-            "counter",
-            "Cumulative time inside production kernels, by op, shape, and backend.",
-        );
-        for (key, stat) in nilm_obs::kernel::stats() {
-            let (m_s, n_s, k_s, t_s) =
-                (key.m.to_string(), key.n.to_string(), key.k.to_string(), key.threads.to_string());
-            let labels: [(&str, &str); 6] = [
-                ("op", key.op),
-                ("m", &m_s),
-                ("n", &n_s),
-                ("k", &k_s),
-                ("threads", &t_s),
-                ("backend", key.backend),
-            ];
-            w.sample("nilm_kernel_calls_total", &labels, stat.calls as f64);
-            w.sample("nilm_kernel_seconds_total", &labels, stat.total_ns as f64 / 1e9);
-        }
-
-        w.family("nilm_epoll_wakeups_total", "counter", "Reactor event-loop wakeups.");
-        w.sample("nilm_epoll_wakeups_total", &[], m.epoll_wakeups as f64);
-        w.family("nilm_ready_events_total", "counter", "Readiness events delivered to the loop.");
-        w.sample("nilm_ready_events_total", &[], m.ready_events as f64);
-        w.family("nilm_partial_writes_total", "counter", "Response writes parked on EWOULDBLOCK.");
-        w.sample("nilm_partial_writes_total", &[], m.partial_writes as f64);
-        w.family("nilm_conn_backlog_peak", "gauge", "Largest per-connection pipeline observed.");
-        w.sample("nilm_conn_backlog_peak", &[], m.conn_backlog_peak as f64);
-
-        w.family("nilm_reactor_restarts_total", "counter", "Reactor respawns after a panic.");
-        w.sample("nilm_reactor_restarts_total", &[], m.reactor_restarts as f64);
-        w.family("nilm_passes_in_flight", "gauge", "Fleet passes running now.");
-        w.sample("nilm_passes_in_flight", &[], m.passes_in_flight as f64);
-        w.family(
-            "nilm_passes_overlapped_total",
-            "counter",
-            "Fleet passes that started while another pass was running.",
-        );
-        w.sample("nilm_passes_overlapped_total", &[], m.passes_overlapped as f64);
-        w.family("nilm_batcher_restarts_total", "counter", "Pass-loop restarts after a panic.");
-        w.sample("nilm_batcher_restarts_total", &[], m.batcher_restarts as f64);
-        w.family(
-            "nilm_deadline_timeouts_total",
-            "counter",
-            "Requests answered 503 by the reactor deadline.",
-        );
-        w.sample("nilm_deadline_timeouts_total", &[], m.deadline_timeouts as f64);
-        w.family("nilm_shard_retries_total", "counter", "Fleet shards retried after a panic.");
-        w.sample("nilm_shard_retries_total", &[], m.shard_retries as f64);
-        w.family(
-            "nilm_households_degraded_total",
-            "counter",
-            "Households answered with degraded placeholder rows.",
-        );
-        w.sample("nilm_households_degraded_total", &[], m.households_degraded as f64);
-
-        let reg = add_stats(m.registry_base, m.registry_current);
-        w.family(
-            "nilm_registry_events_total",
-            "counter",
-            "Model registry events across every registry rebuild.",
-        );
-        for (event, n) in [
-            ("hits", reg.hits),
-            ("loads", reg.loads),
-            ("evictions", reg.evictions),
-            ("load_failures", reg.load_failures),
-            ("quarantines", reg.quarantines),
-        ] {
-            w.sample("nilm_registry_events_total", &[("event", event)], n as f64);
-        }
-
-        let faults = nilm_fault::stats();
-        if !faults.is_empty() {
-            w.family("nilm_fault_trials_total", "counter", "Fault-point evaluations.");
-            w.family("nilm_fault_fired_total", "counter", "Fault-point injections fired.");
-            for (point, s) in &faults {
-                w.sample("nilm_fault_trials_total", &[("point", point)], s.trials as f64);
-            }
-            for (point, s) in &faults {
-                w.sample("nilm_fault_fired_total", &[("point", point)], s.fired as f64);
-            }
-        }
-
-        w.family("nilm_trace_enabled", "gauge", "Whether NILM_TRACE span recording is on.");
-        w.sample("nilm_trace_enabled", &[], if nilm_obs::trace::enabled() { 1.0 } else { 0.0 });
-        w.family("nilm_trace_ring_spans", "gauge", "Spans currently held in the trace ring.");
-        w.sample("nilm_trace_ring_spans", &[], nilm_obs::trace::ring_len() as f64);
-
         w.into_string()
     }
 }
@@ -471,9 +332,249 @@ pub struct PassInFlight<'a>(&'a Metrics);
 
 impl Drop for PassInFlight<'_> {
     fn drop(&mut self) {
-        let mut m = self.0.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        m.passes_in_flight -= 1;
+        self.0.lock().passes_in_flight -= 1;
     }
+}
+
+/// One metric family, as both exporters see it.
+struct Family<'a> {
+    /// Exposition name, type (`counter`, `gauge`, `histogram`) and help.
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    /// The family's key in the JSON document; `None` for families the
+    /// document shows in a shape of its own, or not at all.
+    json: Option<&'static str>,
+    values: Values<'a>,
+}
+
+/// The samples of one [`Family`].
+enum Values<'a> {
+    /// One unlabelled value.
+    One(u64),
+    /// One value per value of the named label.
+    By(&'static str, Vec<(String, u64)>),
+    /// One histogram per value of the named label.
+    Hists(&'static str, &'a BTreeMap<&'static str, Histogram>),
+    /// Calls and cumulative time per kernel series, labelled by its key.
+    /// Written as `nilm_kernel_calls_total` and `nilm_kernel_seconds_total`,
+    /// interleaved series by series; the JSON document has one object per
+    /// series, keyed by a readable `op MxNxK tT backend` label.
+    Kernels(&'a [(KernelKey, KernelStat)]),
+    /// Trials and fires per armed fault point, written as the
+    /// `nilm_fault_trials_total` and `nilm_fault_fired_total` families.
+    Faults(Vec<(String, nilm_fault::PointStats)>),
+}
+
+impl<'a> Family<'a> {
+    fn new(kind: &'static str, name: &'static str, values: Values<'a>) -> Self {
+        Family { name, kind, help: "", json: None, values }
+    }
+
+    fn help(self, help: &'static str) -> Self {
+        Family { help, ..self }
+    }
+
+    /// Carries the family in the JSON document under `key`.
+    fn json(self, key: &'static str) -> Self {
+        Family { json: Some(key), ..self }
+    }
+
+    /// Writes the family to the exposition.
+    fn write(&self, w: &mut PromWriter) {
+        let name = self.name;
+        w.family(name, self.kind, self.help);
+        match &self.values {
+            Values::One(v) => w.sample(name, &[], *v as f64),
+            Values::By(label, rows) => {
+                for (value, v) in rows {
+                    w.sample(name, &[(label, value)], *v as f64);
+                }
+            }
+            Values::Hists(label, hists) => {
+                for (value, h) in hists.iter() {
+                    w.histogram(name, &[(label, value)], h);
+                }
+            }
+            Values::Kernels(rows) => {
+                let secs = "nilm_kernel_seconds_total";
+                w.family(
+                    secs,
+                    "counter",
+                    "Cumulative time inside production kernels, by op, shape, and backend.",
+                );
+                for (key, stat) in rows.iter() {
+                    let [m, n, k, t] = [key.m, key.n, key.k, key.threads].map(|d| d.to_string());
+                    let labels = [
+                        ("op", key.op),
+                        ("m", &m),
+                        ("n", &n),
+                        ("k", &k),
+                        ("threads", &t),
+                        ("backend", key.backend),
+                    ];
+                    w.sample(name, &labels, stat.calls as f64);
+                    w.sample(secs, &labels, stat.total_ns as f64 / 1e9);
+                }
+            }
+            Values::Faults(points) => {
+                let fired = "nilm_fault_fired_total";
+                w.family(fired, "counter", "Fault-point injections fired.");
+                for (point, s) in points {
+                    w.sample(name, &[("point", point)], s.trials as f64);
+                }
+                for (point, s) in points {
+                    w.sample(fired, &[("point", point)], s.fired as f64);
+                }
+            }
+        }
+    }
+
+    /// The family's values as they appear in the JSON document.
+    fn to_json(&self) -> JsonValue {
+        let number = |v: u64| JsonValue::Number(v as f64);
+        match &self.values {
+            Values::One(v) => number(*v),
+            Values::By(_, rows) => {
+                JsonValue::Object(rows.iter().map(|(k, v)| (k.clone(), number(*v))).collect())
+            }
+            Values::Hists(_, hists) => JsonValue::Object(
+                hists.iter().map(|(k, h)| (k.to_string(), hist_json(h))).collect(),
+            ),
+            Values::Kernels(rows) => JsonValue::Object(
+                rows.iter()
+                    .map(|(key, stat)| {
+                        let label = format!(
+                            "{} {}x{}x{} t{} {}",
+                            key.op, key.m, key.n, key.k, key.threads, key.backend
+                        );
+                        let row = JsonValue::object([
+                            ("calls", number(stat.calls)),
+                            ("total_ms", JsonValue::Number(stat.total_ns as f64 / 1e6)),
+                        ]);
+                        (label, row)
+                    })
+                    .collect(),
+            ),
+            Values::Faults(_) => JsonValue::Null,
+        }
+    }
+}
+
+/// Every family both exporters carry, in exposition order: the counters in
+/// `m` (read under the caller's lock), the kernel table snapshot `kernels`,
+/// and the fault and trace state.
+fn families<'a>(
+    m: &'a Inner,
+    queue_depth: usize,
+    kernels: &'a [(KernelKey, KernelStat)],
+) -> Vec<Family<'a>> {
+    use Values::{By, Hists, One};
+    fn rows<K: ToString>(map: &BTreeMap<K, u64>) -> Vec<(String, u64)> {
+        map.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    }
+    let counter = |name, values| Family::new("counter", name, values);
+    let gauge = |name, values| Family::new("gauge", name, values);
+    let reg = add_stats(m.registry_base, m.registry_current);
+    let registry = [
+        ("hits", reg.hits),
+        ("loads", reg.loads),
+        ("evictions", reg.evictions),
+        ("load_failures", reg.load_failures),
+        ("quarantines", reg.quarantines),
+    ];
+    let mut families = vec![
+        counter("nilm_requests_total", By("route", rows(&m.by_route)))
+            .json("requests_by_route")
+            .help("Requests received, by route."),
+        counter("nilm_responses_total", By("status", rows(&m.by_status)))
+            .json("responses_by_status")
+            .help("Responses sent, by HTTP status."),
+        counter("nilm_shed_total", One(m.shed_total))
+            .json("shed_total")
+            .help("Requests shed by the full queue."),
+        counter("nilm_batch_passes_total", By("requests", rows(&m.batch_requests_hist)))
+            .help("Batcher passes, by number of coalesced requests."),
+        counter("nilm_gemm_batches_total", One(m.gemm_batches_total))
+            .json("gemm_batches_total")
+            .help("GEMM batch tensors assembled."),
+        counter("nilm_windows_scored_total", One(m.windows_scored_total))
+            .json("windows_scored_total")
+            .help("Detector windows scored."),
+        counter("nilm_inferences_total", One(m.inferences_total))
+            .json("inferences_total")
+            .help("Ensemble-member inferences run."),
+        gauge("nilm_queue_depth", One(queue_depth as u64))
+            .json("queue_depth")
+            .help("Jobs waiting in the batcher queue now."),
+        gauge("nilm_queue_peak", One(m.queue_peak))
+            .json("queue_peak")
+            .help("Peak queue depth observed at enqueue."),
+        Family::new("histogram", "nilm_request_duration_seconds", Hists("route", &m.latency))
+            .json("latency_by_route")
+            .help("End-to-end request latency (dispatch to reply), by route."),
+        Family::new("histogram", "nilm_stage_duration_seconds", Hists("stage", &m.stages))
+            .json("stages")
+            .help(
+                "Per-pipeline-stage duration (parse, queue_wait, decode, coalesce, preprocess, \
+                 infer, stitch, write).",
+            ),
+        counter("nilm_kernel_calls_total", Values::Kernels(kernels)).json("kernels").help(
+            "Production kernel invocations, by op, GEMM shape, keyed pool width, and backend.",
+        ),
+        counter("nilm_epoll_wakeups_total", One(m.epoll_wakeups))
+            .json("epoll_wakeups")
+            .help("Reactor event-loop wakeups."),
+        counter("nilm_ready_events_total", One(m.ready_events))
+            .help("Readiness events delivered to the loop."),
+        counter("nilm_partial_writes_total", One(m.partial_writes))
+            .json("partial_writes")
+            .help("Response writes parked on EWOULDBLOCK."),
+        gauge("nilm_conn_backlog_peak", One(m.conn_backlog_peak))
+            .json("conn_backlog_peak")
+            .help("Largest per-connection pipeline observed."),
+        counter("nilm_reactor_restarts_total", One(m.reactor_restarts))
+            .json("reactor_restarts")
+            .help("Reactor respawns after a panic."),
+        gauge("nilm_passes_in_flight", One(m.passes_in_flight))
+            .json("passes_in_flight")
+            .help("Fleet passes running now."),
+        counter("nilm_passes_overlapped_total", One(m.passes_overlapped))
+            .json("passes_overlapped_total")
+            .help("Fleet passes that started while another pass was running."),
+        counter("nilm_batcher_restarts_total", One(m.batcher_restarts))
+            .json("batcher_restarts")
+            .help("Pass-loop restarts after a panic."),
+        counter("nilm_deadline_timeouts_total", One(m.deadline_timeouts))
+            .json("deadline_timeouts")
+            .help("Requests answered 503 by the reactor deadline."),
+        counter("nilm_shard_retries_total", One(m.shard_retries))
+            .json("shard_retries_total")
+            .help("Fleet shards retried after a panic."),
+        counter("nilm_households_degraded_total", One(m.households_degraded))
+            .json("households_degraded_total")
+            .help("Households answered with degraded placeholder rows."),
+        counter(
+            "nilm_registry_events_total",
+            By("event", registry.map(|(e, n)| (e.to_string(), n)).to_vec()),
+        )
+        .json("registry")
+        .help("Model registry events across every registry rebuild."),
+    ];
+    let faults = nilm_fault::stats();
+    if !faults.is_empty() {
+        families.push(
+            counter("nilm_fault_trials_total", Values::Faults(faults))
+                .help("Fault-point evaluations."),
+        );
+    }
+    families.extend([
+        gauge("nilm_trace_enabled", One(nilm_obs::trace::enabled().into()))
+            .help("Whether NILM_TRACE span recording is on."),
+        gauge("nilm_trace_ring_spans", One(nilm_obs::trace::ring_len() as u64))
+            .help("Spans currently held in the trace ring."),
+    ]);
+    families
 }
 
 /// One histogram as a JSON summary object.
@@ -485,56 +586,6 @@ fn hist_json(h: &Histogram) -> JsonValue {
         ("p99_ms", JsonValue::Number(h.quantile_ms(0.99))),
         ("max_ms", JsonValue::Number(h.max_ms())),
     ])
-}
-
-/// Cumulative kernel timings as a JSON object keyed by a readable
-/// `op MxNxK tT backend` label.
-fn kernels_json() -> JsonValue {
-    let rows: BTreeMap<String, JsonValue> = nilm_obs::kernel::stats()
-        .into_iter()
-        .map(|(key, stat)| {
-            (
-                format!(
-                    "{} {}x{}x{} t{} {}",
-                    key.op, key.m, key.n, key.k, key.threads, key.backend
-                ),
-                JsonValue::object([
-                    ("calls", JsonValue::Number(stat.calls as f64)),
-                    ("total_ms", JsonValue::Number(stat.total_ns as f64 / 1e6)),
-                ]),
-            )
-        })
-        .collect();
-    JsonValue::Object(rows)
-}
-
-/// Registry totals (all batcher generations combined) as a JSON object.
-fn registry_json(s: RegistryStats) -> JsonValue {
-    JsonValue::object([
-        ("hits", JsonValue::Number(s.hits as f64)),
-        ("loads", JsonValue::Number(s.loads as f64)),
-        ("evictions", JsonValue::Number(s.evictions as f64)),
-        ("load_failures", JsonValue::Number(s.load_failures as f64)),
-        ("quarantines", JsonValue::Number(s.quarantines as f64)),
-    ])
-}
-
-/// Per-point fault-injection counters; an empty object when no fault
-/// point is (or ever was) armed.
-fn faults_json() -> JsonValue {
-    let points: BTreeMap<String, JsonValue> = nilm_fault::stats()
-        .into_iter()
-        .map(|(name, s)| {
-            (
-                name,
-                JsonValue::object([
-                    ("trials", JsonValue::Number(s.trials as f64)),
-                    ("fired", JsonValue::Number(s.fired as f64)),
-                ]),
-            )
-        })
-        .collect();
-    JsonValue::Object(points)
 }
 
 /// Nearest-rank percentile of `samples` (0.0 when empty).
@@ -564,7 +615,7 @@ mod tests {
 
     #[test]
     fn snapshot_counts_and_validates() {
-        let m = Metrics::new();
+        let m = Metrics::default();
         m.request("localize");
         m.request("healthz");
         m.response(200);
@@ -612,7 +663,7 @@ mod tests {
     fn latency_histograms_keep_every_sample() {
         // The old last-4096 ring forgot early samples; the histogram must
         // keep every one (count is exact, quantiles within bound).
-        let m = Metrics::new();
+        let m = Metrics::default();
         for i in 0..10_000u64 {
             m.latency_ms("localize", i as f64 / 10.0);
             m.latency_ms("healthz", 0.05);
@@ -727,7 +778,7 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_is_well_formed() {
-        let m = Metrics::new();
+        let m = Metrics::default();
         m.request("localize");
         m.response(200);
         m.latency_ms("localize", 12.5);

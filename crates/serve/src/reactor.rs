@@ -305,11 +305,10 @@ fn run_reactor(
                 )
             };
             let bytes = encode_reply(&done.reply, keep_alive, trace);
-            if let Some((route, dispatched)) =
+            if let Some((route, dispatched_ns)) =
                 conn.complete(done.seq, bytes, keep_alive, done.reply.status)
             {
-                shared.metrics.response(done.reply.status);
-                shared.metrics.latency_ms(route, dispatched.elapsed().as_secs_f64() * 1e3);
+                answered(shared, route, done.reply.status, dispatched_ns);
             }
             let keep =
                 pump_conn(shared, &mut conns, done.conn_id, completions, &mut deadlines, now);
@@ -345,10 +344,11 @@ fn run_reactor(
                 }
             };
             let bytes = encode_reply(&reply, keep_alive, trace);
-            if let Some((route, dispatched)) = conn.complete(seq, bytes, keep_alive, reply.status) {
+            if let Some((route, dispatched_ns)) =
+                conn.complete(seq, bytes, keep_alive, reply.status)
+            {
                 shared.metrics.deadline_timeout();
-                shared.metrics.response(reply.status);
-                shared.metrics.latency_ms(route, dispatched.elapsed().as_secs_f64() * 1e3);
+                answered(shared, route, reply.status, dispatched_ns);
             }
             let keep = pump_conn(shared, &mut conns, conn_id, completions, &mut deadlines, now);
             if !keep {
@@ -381,7 +381,6 @@ fn run_reactor(
                         &[],
                     ),
                     408,
-                    now,
                 );
                 conn.poison_input();
                 conn.promote();
@@ -488,12 +487,10 @@ fn pump_conn(
 ) -> bool {
     let Some(conn) = conns.get_mut(&id) else { return true };
     while !conn.close_after_flush && conn.pipeline.len() < shared.cfg.max_pipeline {
-        let parse_start = Instant::now();
-        let parse_start_ns = nilm_obs::trace::now_ns();
+        let parse_start = nilm_obs::trace::now_ns();
         match conn.parse_next() {
             Ok(Some(request)) => {
-                let parse_ms = parse_start.elapsed().as_secs_f64() * 1e3;
-                shared.metrics.stage_ms("parse", parse_ms);
+                let parsed = nilm_obs::trace::now_ns();
                 let deadline = request
                     .header("x-camal-deadline-ms")
                     .and_then(|v| v.trim().parse::<u64>().ok())
@@ -508,35 +505,23 @@ fn pump_conn(
                     .header("x-camal-trace-id")
                     .and_then(TraceId::parse)
                     .unwrap_or_else(nilm_obs::trace::mint_trace_id);
-                // 0 when tracing is off — which also gates the span below,
-                // so the detail string is never built for nothing.
+                // 0 when tracing is off — which also gates every stage span
+                // of the request, so no detail string is built for nothing.
                 let root_span = nilm_obs::trace::mint_span_id();
-                if root_span != 0 {
-                    nilm_obs::trace::record_span(
-                        trace_id,
-                        root_span,
-                        "parse",
-                        format!("method={} path={}", request.method, request.path),
-                        parse_start_ns,
-                        ((parse_ms * 1e6) as u64).max(1),
-                    );
-                }
+                let trace = (trace_id.0, root_span);
+                shared.metrics.stage("parse", trace, parse_start, parsed, || {
+                    format!("method={} path={}", request.method, request.path)
+                });
                 let route = crate::gateway::route_label(&request.method, &request.path);
-                let seq = conn.begin_request(
-                    keep_alive,
-                    route,
-                    trace_id.0,
-                    root_span,
-                    now,
-                    nilm_obs::trace::now_ns(),
-                );
+                shared.metrics.request(route);
+                let seq = conn.begin_request(keep_alive, route, trace_id.0, root_span, parsed);
                 shared.metrics.conn_backlog(conn.pipeline.len());
                 deadlines.push(Reverse((now + deadline, id, seq, deadline.as_millis() as u64)));
                 let reply = ReplyHandle {
                     sender: completions.clone(),
                     conn_id: id,
                     seq,
-                    trace: (trace_id.0, root_span),
+                    trace,
                     deadline,
                     sent: false,
                 };
@@ -558,7 +543,6 @@ fn pump_conn(
                             &[],
                         ),
                         status,
-                        now,
                     );
                 }
                 conn.poison_input();
@@ -591,7 +575,6 @@ fn pump_conn(
                     &[],
                 ),
                 status,
-                now,
             );
         } else {
             // A body truncated mid-stream: nothing useful to say, close.
@@ -631,27 +614,27 @@ fn flush_conn(shared: &Arc<Shared>, conn: &mut Conn, id: u64) -> bool {
     }
 }
 
+/// Counts one answered request: its status, and its route latency from
+/// dispatch to now on the trace clock.
+fn answered(shared: &Shared, route: &'static str, status: u16, dispatched_ns: u64) {
+    shared.metrics.response(status);
+    let ms = nilm_obs::trace::now_ns().saturating_sub(dispatched_ns) as f64 / 1e6;
+    shared.metrics.latency_ms(route, ms);
+}
+
 /// One response fully handed to the socket: closes out the request's
-/// observability — the `write` stage sample and span, the root "request"
+/// observability — the `write` stage (sample and span), the root "request"
 /// span (under the ID minted at parse time, so every stage recorded in
 /// between already parents to it), and the slow-request log line.
 fn finish_write(shared: &Arc<Shared>, write: &crate::conn::PendingWrite) {
     let now_ns = nilm_obs::trace::now_ns();
-    let write_ms = write.promoted.elapsed().as_secs_f64() * 1e3;
-    let total_ms = write.dispatched.elapsed().as_secs_f64() * 1e3;
-    shared.metrics.stage_ms("write", write_ms);
+    let trace = (write.trace, write.root_span);
+    shared
+        .metrics
+        .stage("write", trace, write.promoted_ns, now_ns, || format!("bytes={}", write.bytes));
     if write.root_span != 0 {
-        let trace = TraceId(write.trace);
-        nilm_obs::trace::record_span(
-            trace,
-            write.root_span,
-            "write",
-            format!("bytes={}", write.bytes),
-            write.promoted_ns,
-            now_ns.saturating_sub(write.promoted_ns).max(1),
-        );
         nilm_obs::trace::record_span_with_id(
-            trace,
+            TraceId(write.trace),
             0,
             write.root_span,
             "request",
@@ -661,11 +644,14 @@ fn finish_write(shared: &Arc<Shared>, write: &crate::conn::PendingWrite) {
         );
     }
     if let Some(threshold) = nilm_obs::slowlog::threshold_ms() {
+        let ms = |start_ns: u64| now_ns.saturating_sub(start_ns) as f64 / 1e6;
+        let total_ms = ms(write.dispatched_ns);
         if total_ms >= threshold && write.trace != 0 {
             nilm_obs::slowlog::emit(&format!(
-                "route={} status={} total_ms={total_ms:.1} write_ms={write_ms:.1} trace={}",
+                "route={} status={} total_ms={total_ms:.1} write_ms={:.1} trace={}",
                 write.route,
                 write.status,
+                ms(write.promoted_ns),
                 TraceId(write.trace).to_hex(),
             ));
         }
