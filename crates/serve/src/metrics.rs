@@ -18,11 +18,12 @@
 //!
 //! **Exporting.** Both exporters walk one ordered list of metric families
 //! (name, type, help, labelled values), read once under the lock. The
-//! JSON document keys each family it carries by its JSON name; a few JSON
-//! shapes stay hand-written for dashboard continuity: `requests_total`,
-//! the `latency_ms` headline, `ready_events_per_wake`, the zero-padded
-//! `batch_requests_histogram` keys, and the nested `faults` and `trace`
-//! objects.
+//! exposition writes each family as one group, `# HELP` and `# TYPE`
+//! first, then all of its samples. The JSON document keys each family it
+//! carries by its JSON name; a few JSON shapes stay hand-written for
+//! dashboard continuity: `requests_total`, the `latency_ms` headline,
+//! `ready_events_per_wake`, the zero-padded `batch_requests_histogram`
+//! keys, and the nested `faults` and `trace` objects.
 //!
 //! Recovery is observable, not just tested: pass-loop restarts, deadline
 //! timeouts, fleet shard retries and degraded households, the registry's
@@ -356,14 +357,11 @@ enum Values<'a> {
     By(&'static str, Vec<(String, u64)>),
     /// One histogram per value of the named label.
     Hists(&'static str, &'a BTreeMap<&'static str, Histogram>),
-    /// Calls and cumulative time per kernel series, labelled by its key.
-    /// Written as `nilm_kernel_calls_total` and `nilm_kernel_seconds_total`,
-    /// interleaved series by series; the JSON document has one object per
-    /// series, keyed by a readable `op MxNxK tT backend` label.
-    Kernels(&'a [(KernelKey, KernelStat)]),
-    /// Trials and fires per armed fault point, written as the
-    /// `nilm_fault_trials_total` and `nilm_fault_fired_total` families.
-    Faults(Vec<(String, nilm_fault::PointStats)>),
+    /// One value per kernel series (the given field of its stats),
+    /// labelled by the series key. In the JSON document a kernel family
+    /// shows every series as one object of calls and total time, keyed by
+    /// a readable `op MxNxK tT backend` label.
+    Kernels(&'a [(KernelKey, KernelStat)], fn(&KernelStat) -> f64),
 }
 
 impl<'a> Family<'a> {
@@ -396,13 +394,7 @@ impl<'a> Family<'a> {
                     w.histogram(name, &[(label, value)], h);
                 }
             }
-            Values::Kernels(rows) => {
-                let secs = "nilm_kernel_seconds_total";
-                w.family(
-                    secs,
-                    "counter",
-                    "Cumulative time inside production kernels, by op, shape, and backend.",
-                );
+            Values::Kernels(rows, value) => {
                 for (key, stat) in rows.iter() {
                     let [m, n, k, t] = [key.m, key.n, key.k, key.threads].map(|d| d.to_string());
                     let labels = [
@@ -413,18 +405,7 @@ impl<'a> Family<'a> {
                         ("threads", &t),
                         ("backend", key.backend),
                     ];
-                    w.sample(name, &labels, stat.calls as f64);
-                    w.sample(secs, &labels, stat.total_ns as f64 / 1e9);
-                }
-            }
-            Values::Faults(points) => {
-                let fired = "nilm_fault_fired_total";
-                w.family(fired, "counter", "Fault-point injections fired.");
-                for (point, s) in points {
-                    w.sample(name, &[("point", point)], s.trials as f64);
-                }
-                for (point, s) in points {
-                    w.sample(fired, &[("point", point)], s.fired as f64);
+                    w.sample(name, &labels, value(stat));
                 }
             }
         }
@@ -441,7 +422,7 @@ impl<'a> Family<'a> {
             Values::Hists(_, hists) => JsonValue::Object(
                 hists.iter().map(|(k, h)| (k.to_string(), hist_json(h))).collect(),
             ),
-            Values::Kernels(rows) => JsonValue::Object(
+            Values::Kernels(rows, _) => JsonValue::Object(
                 rows.iter()
                     .map(|(key, stat)| {
                         let label = format!(
@@ -456,7 +437,6 @@ impl<'a> Family<'a> {
                     })
                     .collect(),
             ),
-            Values::Faults(_) => JsonValue::Null,
         }
     }
 }
@@ -469,7 +449,7 @@ fn families<'a>(
     queue_depth: usize,
     kernels: &'a [(KernelKey, KernelStat)],
 ) -> Vec<Family<'a>> {
-    use Values::{By, Hists, One};
+    use Values::{By, Hists, Kernels, One};
     fn rows<K: ToString>(map: &BTreeMap<K, u64>) -> Vec<(String, u64)> {
         map.iter().map(|(k, v)| (k.to_string(), *v)).collect()
     }
@@ -519,9 +499,13 @@ fn families<'a>(
                 "Per-pipeline-stage duration (parse, queue_wait, decode, coalesce, preprocess, \
                  infer, stitch, write).",
             ),
-        counter("nilm_kernel_calls_total", Values::Kernels(kernels)).json("kernels").help(
-            "Production kernel invocations, by op, GEMM shape, keyed pool width, and backend.",
-        ),
+        counter("nilm_kernel_calls_total", Kernels(kernels, |s| s.calls as f64))
+            .json("kernels")
+            .help(
+                "Production kernel invocations, by op, GEMM shape, keyed pool width, and backend.",
+            ),
+        counter("nilm_kernel_seconds_total", Kernels(kernels, |s| s.total_ns as f64 / 1e9))
+            .help("Cumulative time inside production kernels, by op, shape, and backend."),
         counter("nilm_epoll_wakeups_total", One(m.epoll_wakeups))
             .json("epoll_wakeups")
             .help("Reactor event-loop wakeups."),
@@ -563,10 +547,15 @@ fn families<'a>(
     ];
     let faults = nilm_fault::stats();
     if !faults.is_empty() {
-        families.push(
-            counter("nilm_fault_trials_total", Values::Faults(faults))
+        let points = |n: fn(&nilm_fault::PointStats) -> u64| {
+            By("point", faults.iter().map(|(p, s)| (p.clone(), n(s))).collect())
+        };
+        families.extend([
+            counter("nilm_fault_trials_total", points(|s| s.trials))
                 .help("Fault-point evaluations."),
-        );
+            counter("nilm_fault_fired_total", points(|s| s.fired))
+                .help("Fault-point injections fired."),
+        ]);
     }
     families.extend([
         gauge("nilm_trace_enabled", One(nilm_obs::trace::enabled().into()))
@@ -778,6 +767,7 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_is_well_formed() {
+        global_rows();
         let m = Metrics::default();
         m.request("localize");
         m.response(200);
@@ -787,15 +777,22 @@ mod tests {
         m.stage_ms("write", 0.1);
         m.batch(2, 1, 10, 20);
         let text = m.to_prometheus(3);
-        // Every series line's family was declared with HELP + TYPE, and no
-        // series repeats — the two invariants the CI gate re-checks over
-        // a live gateway.
+        // Every series line's family was declared with HELP + TYPE, no
+        // series repeats, and each family's lines form one group, HELP and
+        // TYPE first — the invariants the CI gate re-checks over a live
+        // gateway. The global rows put two kernel series and an armed fault
+        // point in, so the two-family kernel and fault tables are covered.
         let mut declared = std::collections::BTreeSet::new();
         let mut seen = std::collections::BTreeSet::new();
+        let mut groups: Vec<String> = Vec::new();
         for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# HELP ") {
-                declared.insert(rest.split(' ').next().unwrap().to_string());
-            } else if line.starts_with('#') {
+            let family = if let Some(rest) = line.strip_prefix("# HELP ") {
+                let name = rest.split(' ').next().unwrap().to_string();
+                assert!(declared.insert(name.clone()), "{name} declared twice");
+                name
+            } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let name = rest.split(' ').next().unwrap();
+                assert_eq!(groups.last().map(String::as_str), Some(name), "TYPE apart from HELP");
                 continue;
             } else {
                 let series = line.rsplit_once(' ').unwrap().0.to_string();
@@ -808,7 +805,15 @@ mod tests {
                     .unwrap_or(family);
                 assert!(declared.contains(base), "undeclared family for {series}");
                 assert!(seen.insert(series.clone()), "duplicate series {series}");
+                base.to_string()
+            };
+            if groups.last() != Some(&family) {
+                assert!(!groups.contains(&family), "{family} is split by another family");
+                groups.push(family);
             }
+        }
+        for family in ["nilm_kernel_seconds_total", "nilm_fault_fired_total"] {
+            assert!(text.contains(&format!("\n{family}{{")), "no {family} sample");
         }
         assert!(text.contains("nilm_request_duration_seconds_bucket{route=\"localize\","));
         assert!(text.contains("le=\"+Inf\"}"));
