@@ -255,38 +255,64 @@ assert len(roots) == 1 and roots[0]["name"] == "request", roots
 print(f"debug/trace ok: {len(spans)} spans, all stages present, tree connected")
 PY
     # 3. Prometheus exposition: every sample belongs to a declared family
-    #    (HELP + TYPE), and no series is emitted twice.
+    #    (HELP + TYPE), no series is emitted twice, and each family's lines
+    #    form one group (no family is split by another's lines). It is
+    #    scraped right after a JSON scrape, and both exporters read one
+    #    family list: every counter that a scrape does not move must read
+    #    the same in both documents.
+    curl -sfS "http://$GW_ADDR/metrics" -o "$GW_DIR/metrics_pair.json"
     curl -sfS "http://$GW_ADDR/metrics?format=prometheus" -o "$GW_DIR/metrics.prom"
     python3 - "$GW_DIR" <<'PY'
-import sys
-helps, types, series = set(), set(), set()
+import json, sys
+helps, types, series, groups = set(), set(), {}, []
 for line in open(sys.argv[1] + "/metrics.prom"):
     line = line.rstrip("\n")
     if not line:
         continue
     if line.startswith("# HELP "):
-        helps.add(line.split()[2])
+        family = line.split()[2]
+        helps.add(family)
     elif line.startswith("# TYPE "):
-        types.add(line.split()[2])
+        family = line.split()[2]
+        types.add(family)
     elif line.startswith("#"):
         continue
     else:
-        key = line.rsplit(" ", 1)[0]
+        key, value = line.rsplit(" ", 1)
         assert key not in series, f"duplicate series: {key}"
-        series.add(key)
+        series[key] = float(value)
         name = key.split("{")[0]
-        base = name
+        family = name
         for suffix in ("_bucket", "_sum", "_count"):
             stem = name[: -len(suffix)] if name.endswith(suffix) else None
             if stem and stem in types:
-                base = stem
+                family = stem
                 break
-        assert base in types, f"sample {name} has no TYPE line"
-        assert base in helps, f"sample {name} has no HELP line"
+        assert family in types, f"sample {name} has no TYPE line"
+        assert family in helps, f"sample {name} has no HELP line"
+    if not groups or groups[-1] != family:
+        assert family not in groups, f"family {family} is split by another family's lines"
+        groups.append(family)
 assert types == helps, f"HELP/TYPE mismatch: {types ^ helps}"
 assert any(s.startswith("nilm_request_duration_seconds_bucket") for s in series)
 assert any(s.startswith("nilm_stage_duration_seconds_bucket") for s in series)
-print(f"prometheus ok: {len(types)} families, {len(series)} series, no duplicates")
+doc = json.load(open(sys.argv[1] + "/metrics_pair.json"))
+pairs = {
+    "shed_total": "nilm_shed_total",
+    "windows_scored_total": "nilm_windows_scored_total",
+    "inferences_total": "nilm_inferences_total",
+    "batcher_restarts": "nilm_batcher_restarts_total",
+    "deadline_timeouts": "nilm_deadline_timeouts_total",
+    "shard_retries_total": "nilm_shard_retries_total",
+    "households_degraded_total": "nilm_households_degraded_total",
+}
+pairs = [(doc[k], series[p], k) for k, p in pairs.items()]
+pairs += [(n, series[f'nilm_registry_events_total{{event="{e}"}}'], f"registry.{e}")
+          for e, n in doc["registry"].items()]
+for in_json, in_prom, name in pairs:
+    assert in_json == in_prom, f"{name}: JSON {in_json} != Prometheus {in_prom}"
+print(f"prometheus ok: {len(types)} families in {len(groups)} groups, {len(series)} series, "
+      f"no duplicates; {len(pairs)} counters agree with the JSON scrape")
 PY
 
     curl -sfS -X POST "http://$GW_ADDR/admin/shutdown" >/dev/null

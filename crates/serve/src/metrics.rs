@@ -278,7 +278,7 @@ impl Metrics {
         let kernels = nilm_obs::kernel::stats();
         let mut doc: BTreeMap<String, JsonValue> = families(&m, queue_depth, &kernels)
             .into_iter()
-            .filter_map(|f| Some((f.json?.to_string(), f.to_json())))
+            .filter_map(|f| Some((f.json?.to_string(), f.into_json())))
             .collect();
         let count = |n: u64| JsonValue::Number(n as f64);
         // Localize end-to-end latency, the headline series. Kept at the top
@@ -412,12 +412,12 @@ impl<'a> Family<'a> {
     }
 
     /// The family's values as they appear in the JSON document.
-    fn to_json(&self) -> JsonValue {
+    fn into_json(self) -> JsonValue {
         let number = |v: u64| JsonValue::Number(v as f64);
-        match &self.values {
-            Values::One(v) => number(*v),
+        match self.values {
+            Values::One(v) => number(v),
             Values::By(_, rows) => {
-                JsonValue::Object(rows.iter().map(|(k, v)| (k.clone(), number(*v))).collect())
+                JsonValue::Object(rows.into_iter().map(|(k, v)| (k, number(v))).collect())
             }
             Values::Hists(_, hists) => JsonValue::Object(
                 hists.iter().map(|(k, h)| (k.to_string(), hist_json(h))).collect(),

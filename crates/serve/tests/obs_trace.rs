@@ -5,9 +5,10 @@
 //! stitch → write — every span parenting back to the root `request` span
 //! and every duration fitting inside the client-observed wall time. With
 //! tracing **on**, response bodies must stay byte-identical to a direct
-//! `stream::serve` run. Also pins `/readyz` semantics (200 when servable,
-//! 503 + reason while the queue is saturated) and the Prometheus
-//! exposition route.
+//! `stream::serve` run. The stage histograms count every request whether
+//! it is traced or not: tracing gates the spans only. Also pins `/readyz`
+//! semantics (200 when servable, 503 + reason while the queue is
+//! saturated) and the Prometheus exposition route.
 
 use camal::config::CamalConfig;
 use camal::ensemble::EnsembleMember;
@@ -28,10 +29,19 @@ use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 const WINDOW: usize = 32;
+
+/// Tracing is process-global: tests that switch it hold this lock.
+static TRACING: Mutex<()> = Mutex::new(());
+
+fn tracing(on: bool) -> MutexGuard<'static, ()> {
+    let guard = TRACING.lock().unwrap_or_else(PoisonError::into_inner);
+    nilm_obs::trace::set_enabled(on);
+    guard
+}
 
 fn random_model(kernels: &[usize], seed: u64) -> CamalModel {
     let cfg = CamalConfig {
@@ -186,7 +196,7 @@ fn find<'s>(spans: &'s [Span], name: &str) -> &'s Span {
 
 #[test]
 fn traced_localize_yields_a_connected_socket_to_kernel_trace() {
-    nilm_obs::trace::set_enabled(true);
+    let _tracing = tracing(true);
     let mut registry = ModelRegistry::unbounded();
     registry.insert(kettle(), random_model(&[5, 7], 1));
     let mut oracle = vec![(kettle(), random_model(&[5, 7], 1))];
@@ -283,6 +293,16 @@ fn traced_localize_yields_a_connected_socket_to_kernel_trace() {
     );
     assert!(decode.start_us <= coalesce.start_us, "coalesce starts before decode: {decode:?}");
     assert!(infer.start_us <= write.start_us, "write cannot start before infer");
+    // The gateway-side stages after parse lie inside the root span, which
+    // runs from dispatch to the last byte written (parse precedes it).
+    for name in ["queue_wait", "decode", "coalesce", "write"] {
+        let s = find(&spans, name);
+        assert!(
+            root.start_us <= s.start_us + 1e-3
+                && s.start_us + s.dur_us <= root.start_us + root.dur_us + 1e-3,
+            "{name} lies outside the request span: {s:?} {root:?}"
+        );
+    }
 
     // /debug/trace error paths: missing and malformed IDs are 400, an
     // unknown ID is 404.
@@ -312,6 +332,53 @@ fn traced_localize_yields_a_connected_socket_to_kernel_trace() {
     assert_eq!(doc.get("ready").and_then(JsonValue::as_bool), Some(true));
     assert!(doc.get("queue_capacity").and_then(JsonValue::as_usize).unwrap() > 0);
 
+    gateway.shutdown();
+}
+
+/// `/metrics` sample counts of the pass-loop stages, in the order
+/// `queue_wait`, `decode`, `coalesce` (0 before a stage's first sample).
+fn stage_counts(addr: &str) -> [u64; 3] {
+    let resp = get(addr, "/metrics");
+    assert_eq!(resp.status, 200);
+    let doc = nilm_json::parse(resp.body_str().expect("UTF-8")).expect("metrics JSON");
+    ["queue_wait", "decode", "coalesce"].map(|stage| {
+        let count = doc.get("stages").and_then(|s| s.get(stage)).and_then(|s| s.get("count"));
+        count.and_then(JsonValue::as_usize).unwrap_or(0) as u64
+    })
+}
+
+#[test]
+fn stage_histograms_count_every_request_whether_traced_or_not() {
+    let mut registry = ModelRegistry::unbounded();
+    registry.insert(kettle(), random_model(&[5], 5));
+    let gateway = Gateway::start(registry, test_config()).expect("gateway starts");
+    let addr = gateway.addr().to_string();
+    let households = vec![toy_household(2, 8)];
+    let body = localize_request(&[kettle()], &households, Detail::Summary).to_compact();
+
+    // One request at a time, so every pass serves exactly one request:
+    // each stage sample is recorded before its request is answered.
+    const N: u64 = 4;
+    for on in [false, true] {
+        let _tracing = tracing(on);
+        let before = stage_counts(&addr);
+        let ids: Vec<String> =
+            (0..N).map(|i| format!("{:016x}", 0x5ca1e000 + 2 * i + on as u64)).collect();
+        for id in &ids {
+            assert_eq!(post_localize(&addr, &body, Some(id)).status, 200);
+        }
+        assert_eq!(
+            stage_counts(&addr),
+            before.map(|n| n + N),
+            "tracing {on}: each stage histogram gains one sample per request"
+        );
+        // Only the spans follow the switch.
+        if on {
+            poll_trace(&addr, &ids[0]);
+        } else {
+            assert_eq!(get(&addr, &format!("/debug/trace?id={}", ids[0])).status, 404);
+        }
+    }
     gateway.shutdown();
 }
 
