@@ -255,9 +255,9 @@ impl Conn {
     }
 
     /// Fills the pipeline slot `seq` with its encoded response. Returns
-    /// the slot's route and dispatch time if it was still waiting — `None` means the
-    /// completion was stale (already answered by the deadline path, or
-    /// the slot was discarded) and must be dropped.
+    /// the slot's route and dispatch time if it was still waiting — `None`
+    /// means the completion was stale (already answered by the deadline
+    /// path, or the slot was discarded) and must be dropped.
     pub fn complete(
         &mut self,
         seq: u64,
